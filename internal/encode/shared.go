@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -477,7 +478,9 @@ func (e *sharedEngine) decode(sk *gridSkeleton) *lattice.Assignment {
 // activation literal true, every other registered grid's false. The
 // negative assumptions are not needed for soundness (an inactive grid's
 // guarded clauses are satisfiable outright) but pin the model and the
-// search away from foreign skeletons.
+// search away from foreign skeletons. They are sorted because e.grids is
+// a map: activation variables are allocated in registration order, so the
+// sorted vector is the same on every run, and so is the search it steers.
 func (e *sharedEngine) assumptions(sk *gridSkeleton) []sat.Lit {
 	as := make([]sat.Lit, 0, len(e.grids))
 	as = append(as, sk.act)
@@ -486,6 +489,7 @@ func (e *sharedEngine) assumptions(sk *gridSkeleton) []sat.Lit {
 			as = append(as, other.act.Not())
 		}
 	}
+	slices.Sort(as[1:])
 	return as
 }
 
