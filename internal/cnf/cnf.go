@@ -139,6 +139,7 @@ func (b *Builder) AndGateForward(out sat.Lit, ins ...sat.Lit) {
 // SolverFrom builds a sat.Solver holding the accumulated formula.
 func (b *Builder) SolverFrom() *sat.Solver {
 	s := sat.New(b.nVars)
+	b.reserve(s)
 	for _, c := range b.clauses {
 		if err := s.AddClause(c...); err != nil {
 			break // solver already unsat; remaining clauses are irrelevant
@@ -156,6 +157,7 @@ func (b *Builder) SolverFrom() *sat.Solver {
 // clause once. NumVars/NumClauses keep counting across flushes.
 func (b *Builder) FlushTo(s *sat.Solver) int {
 	s.EnsureVars(b.nVars)
+	b.reserve(s)
 	n := len(b.clauses)
 	for _, c := range b.clauses {
 		if err := s.AddClause(c...); err != nil {
@@ -165,6 +167,15 @@ func (b *Builder) FlushTo(s *sat.Solver) int {
 	b.released += n
 	b.clauses = nil
 	return n
+}
+
+// reserve sizes the solver's clause arena for the pending clauses.
+func (b *Builder) reserve(s *sat.Solver) {
+	lits := 0
+	for _, c := range b.clauses {
+		lits += len(c)
+	}
+	s.Reserve(len(b.clauses), lits)
 }
 
 // WriteDIMACS serializes the formula in DIMACS CNF format.

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -29,4 +30,108 @@ func FuzzParseDIMACS(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSolveVsBruteForce decodes its input into an incremental session
+// over at most 12 variables: clauses, solves under assumptions,
+// PruneLearnts calls and arena compactions, interleaved. Every verdict is
+// checked against enumeration, every model against the clauses and
+// assumptions, and every final core for being a subset of the
+// assumptions that together with the formula is unsatisfiable. After each
+// step checkArena verifies every holder of a clause offset. When the
+// second byte is odd every solve starts from tinyLearntCap.
+//
+// Encoding: byte 0 picks the variable count, byte 1 the learnt cap, then
+// each op byte's low three bits pick the operation and its high bits a
+// width or a budget; literal bytes give the variable in bits 1-7 and the
+// sign in bit 0.
+func FuzzSolveVsBruteForce(f *testing.F) {
+	f.Add([]byte{5, 1, 0x10, 2, 5, 8, 0x18, 3, 6, 9, 1, 0x0c, 0, 0x14, 2, 3, 4, 0x06, 0x07, 0x05})
+	f.Add([]byte{11, 0, 0x18, 0, 2, 4, 6, 0x19, 1, 3, 5, 7, 0x1a, 8, 10, 12, 14, 0x14, 1, 2, 0x2e, 0x0f, 0x1c, 3, 5, 7, 9})
+	f.Add([]byte{2, 1, 0x00, 0, 0x00, 1, 0x04, 0x0d, 0, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Inputs stay short so that minimizing a new one, which the fuzzer
+		// does before it counts further executions, takes moments.
+		if len(data) < 2 || len(data) > 256 {
+			return
+		}
+		nVars := 1 + int(data[0])%12
+		tiny := data[1]&1 == 1
+		s := New(nVars)
+		data = data[2:]
+		// lits decodes the next k literal bytes, or reports that the input
+		// ran out.
+		lits := func(k int) ([]Lit, bool) {
+			if len(data) < k {
+				return nil, false
+			}
+			ls := make([]Lit, k)
+			for i, b := range data[:k] {
+				ls[i] = MkLit(int(b>>1)%nVars, b&1 == 1)
+			}
+			data = data[k:]
+			return ls, true
+		}
+		var cls [][]Lit
+		for len(data) > 0 {
+			op := data[0]
+			data = data[1:]
+			switch op & 7 {
+			case 0, 1, 2, 3:
+				c, ok := lits(1 + int(op>>3)%4)
+				if !ok {
+					return
+				}
+				cls = append(cls, c)
+				s.AddClause(c...)
+			case 4, 5:
+				as, ok := lits(int(op>>3) % 5)
+				if !ok {
+					return
+				}
+				if tiny {
+					s.learntCap = tinyLearntCap
+				}
+				checkVsBruteForce(t, s, nVars, cls, as, s.SolveAssume(Limits{}, as...))
+			case 6:
+				s.PruneLearnts(int32(op>>3&3), 2+int(op>>5))
+			case 7:
+				s.compact()
+			}
+			checkArena(t, s)
+		}
+	})
+}
+
+// checkVsBruteForce checks one SolveAssume verdict by enumeration.
+func checkVsBruteForce(t *testing.T, s *Solver, nVars int, cls [][]Lit, as []Lit, st Status) {
+	t.Helper()
+	units := func(ls []Lit) [][]Lit {
+		out := slices.Clone(cls)
+		for _, l := range ls {
+			out = append(out, []Lit{l})
+		}
+		return out
+	}
+	want := bruteForceSat(nVars, units(as))
+	switch {
+	case st == Unknown:
+		t.Fatal("unlimited solve returned Unknown")
+	case (st == Sat) != want:
+		t.Fatalf("verdict %v under %v, brute force sat=%v", st, as, want)
+	case st == Sat:
+		if !modelSatisfies(s.ModelSlice(), units(as)) {
+			t.Fatalf("model violates the formula or the assumptions %v", as)
+		}
+	default:
+		core := s.FinalCore()
+		for _, l := range core {
+			if !slices.Contains(as, l) {
+				t.Fatalf("core %v is not a subset of the assumptions %v", core, as)
+			}
+		}
+		if bruteForceSat(nVars, units(core)) {
+			t.Fatalf("formula with core %v is satisfiable", core)
+		}
+	}
 }

@@ -68,9 +68,8 @@ func TestPruneLearntsCounts(t *testing.T) {
 	removed0 := s.Stats().Removed
 	n := s.PruneLearnts(0, 0)
 	for _, c := range s.learnts {
-		locked := s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
-		if !locked && len(c.lits) != 2 {
-			t.Fatalf("zero budget kept an unlocked %d-lit clause", len(c.lits))
+		if !s.locked(c) && s.size(c) != 2 {
+			t.Fatalf("zero budget kept an unlocked %d-lit clause", s.size(c))
 		}
 	}
 	if n != before-len(s.learnts) {

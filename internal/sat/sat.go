@@ -7,11 +7,18 @@
 // with recursive clause minimization, VSIDS variable activity with phase
 // saving, Luby restarts, and glucose-style learnt-clause database
 // reduction keyed on the literal block distance (LBD).
+//
+// Clauses live in one flat arena of 32-bit words and are named by their
+// offset into it (see cref), so the search loop allocates nothing once
+// the arena, the watch lists and the scratch buffers have grown to the
+// formula's size.
 package sat
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -148,15 +155,33 @@ type SolveStats struct {
 	Clauses int
 }
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-	lbd    int32
-	act    float32
-}
+// cref names a clause by the offset of its header in Solver.arena. A
+// clause is hdrWords header words followed by its literals:
+//
+//	arena[c]   size (number of literals), deletedBit once removed
+//	arena[c+1] LBD, learntBit for learnt clauses
+//	arena[c+2] activity, as float32 bits
+//	arena[c+3 : c+3+size] the literals; lits[0] and lits[1] are watched
+//
+// Offsets are held by the watch lists, reason, clauses and learnts;
+// compact moves the live clauses and relocates every one of them.
+type cref uint32
+
+// crefUndef is the reason of decisions, assumptions and level-0 units.
+const crefUndef cref = math.MaxUint32
+
+const (
+	hdrWords   = 3
+	deletedBit = 1 << 31 // in the size word
+	learntBit  = 1 << 31 // in the LBD word
+)
+
+// compactShare: reduceDB and PruneLearnts compact the arena once deleted
+// clauses take more than 1/compactShare of it.
+const compactShare = 4
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
@@ -164,7 +189,7 @@ type watcher struct {
 // the watched literal is falsified, other must hold.
 type binWatcher struct {
 	other Lit
-	c     *clause
+	c     cref
 }
 
 type lbool int8
@@ -178,14 +203,17 @@ const (
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	nVars      int
-	clauses    []*clause
-	learnts    []*clause
+	arena      []uint32 // every clause, problem and learnt (see cref)
+	wasted     int      // words of arena held by deleted clauses
+	spare      []uint32 // the arena before the last compaction, reused by the next
+	clauses    []cref
+	learnts    []cref
 	watches    [][]watcher
 	binWatches [][]binWatcher
 
 	assign   []lbool // per literal (2v positive, 2v+1 negative)
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	phase    []bool // saved phases
 	activity []float64
 	varInc   float64
@@ -208,6 +236,12 @@ type Solver struct {
 
 	learntCap int
 
+	// Scratch buffers owned by the solver so that AddClause and analyze
+	// allocate nothing in steady state.
+	addBuf    []Lit
+	learntBuf []Lit
+	toClear   []int32
+
 	// assume holds the current call's assumption literals: assumption i
 	// is decided at decision level i+1 before any branching. finalCore
 	// records, after an Unsat answer under assumptions, the subset of the
@@ -229,18 +263,24 @@ func New(nVars int) *Solver {
 	return s
 }
 
+// grow extends every per-variable and per-literal array to nVars
+// variables in one step each.
 func (s *Solver) grow(nVars int) {
-	for v := s.nVars; v < nVars; v++ {
-		s.assign = append(s.assign, lUndef, lUndef)
-		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
-		s.phase = append(s.phase, false)
-		s.activity = append(s.activity, 0)
-		s.seen = append(s.seen, false)
-		s.lbdStamp = append(s.lbdStamp, 0)
-		s.watches = append(s.watches, nil, nil)
-		s.binWatches = append(s.binWatches, nil, nil)
-		s.heapPos = append(s.heapPos, -1)
+	old, n := s.nVars, nVars-s.nVars
+	s.assign = append(s.assign, make([]lbool, 2*n)...)
+	s.level = append(s.level, make([]int32, n)...)
+	s.reason = append(s.reason, make([]cref, n)...)
+	s.phase = append(s.phase, make([]bool, n)...)
+	s.activity = append(s.activity, make([]float64, n)...)
+	s.seen = append(s.seen, make([]bool, n)...)
+	s.lbdStamp = append(s.lbdStamp, make([]int64, n)...)
+	s.watches = append(s.watches, make([][]watcher, 2*n)...)
+	s.binWatches = append(s.binWatches, make([][]binWatcher, 2*n)...)
+	s.heapPos = append(s.heapPos, make([]int32, n)...)
+	s.heap = slices.Grow(s.heap, n)
+	for v := old; v < nVars; v++ {
+		s.reason[v] = crefUndef
+		s.heapPos[v] = -1
 		s.heapInsert(int32(v))
 	}
 	s.nVars = nVars
@@ -282,6 +322,117 @@ func (s *Solver) EnsureVars(n int) {
 	}
 }
 
+// Reserve makes room for clauses more problem clauses holding lits
+// literals in all, so that loading a formula of known volume grows the
+// clause arena once instead of by repeated doubling. It is only a
+// capacity hint: the formula and the search are unaffected.
+func (s *Solver) Reserve(clauses, lits int) {
+	s.arena = slices.Grow(s.arena, clauses*hdrWords+lits)
+	s.clauses = slices.Grow(s.clauses, clauses)
+}
+
+// --- clause arena --------------------------------------------------------
+
+// alloc appends a clause to the arena and returns its offset.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	var lbdWord uint32
+	if learnt {
+		lbdWord = learntBit
+	}
+	s.arena = append(s.arena, uint32(len(lits)), lbdWord, 0)
+	for _, l := range lits {
+		s.arena = append(s.arena, uint32(l))
+	}
+	return c
+}
+
+// lits returns clause c's literals as a window of the arena: swaps
+// through it reorder the clause in place. Valid until the next alloc or
+// compact.
+func (s *Solver) lits(c cref) []uint32 {
+	n := cref(s.arena[c] &^ deletedBit)
+	return s.arena[c+hdrWords : c+hdrWords+n]
+}
+
+func (s *Solver) size(c cref) int { return int(s.arena[c] &^ deletedBit) }
+
+func (s *Solver) lit(c cref, i int) Lit { return Lit(s.arena[c+hdrWords+cref(i)]) }
+
+func (s *Solver) lbd(c cref) int32 { return int32(s.arena[c+1] &^ learntBit) }
+
+func (s *Solver) setLBD(c cref, lbd int32) { s.arena[c+1] = s.arena[c+1]&learntBit | uint32(lbd) }
+
+func (s *Solver) act(c cref) float32 { return math.Float32frombits(s.arena[c+2]) }
+
+func (s *Solver) setAct(c cref, a float32) { s.arena[c+2] = math.Float32bits(a) }
+
+// locked reports whether learnt clause c is the reason of its first
+// literal's current assignment, so deleting it would strand the trail.
+func (s *Solver) locked(c cref) bool {
+	l0 := s.lit(c, 0)
+	return s.value(l0) == lTrue && s.reason[l0.Var()] == c
+}
+
+// remove detaches clause c and marks its words as waste for compact.
+func (s *Solver) remove(c cref) {
+	s.detach(c)
+	s.wasted += hdrWords + s.size(c)
+	s.arena[c] |= deletedBit
+}
+
+// maybeCompact compacts the arena once deleted clauses waste more than
+// 1/compactShare of it.
+func (s *Solver) maybeCompact() {
+	if s.wasted*compactShare > len(s.arena) {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses, in arena order, into the spare buffer
+// and relocates every holder of an offset: the watch lists, the reasons
+// of assigned variables, clauses and learnts. Each moved clause leaves
+// its new offset in the LBD word of its old header, which is the only
+// word read back before the old arena becomes the next spare. Relocation
+// keeps every list's order, so the search cannot tell that it happened.
+func (s *Solver) compact() {
+	from := s.arena
+	to := slices.Grow(s.spare[:0], len(from)-s.wasted)
+	for c := 0; c < len(from); {
+		next := c + hdrWords + int(from[c]&^deletedBit)
+		if from[c]&deletedBit == 0 {
+			nc := uint32(len(to))
+			to = append(to, from[c:next]...)
+			from[c+1] = nc
+		}
+		c = next
+	}
+	reloc := func(c cref) cref { return cref(from[c+1]) }
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = reloc(ws[i].c)
+		}
+	}
+	for _, ws := range s.binWatches {
+		for i := range ws {
+			ws[i].c = reloc(ws[i].c)
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = reloc(r)
+		}
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = reloc(c)
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = reloc(c)
+	}
+	s.arena, s.spare = to, from
+	s.wasted = 0
+}
+
 func (s *Solver) value(l Lit) lbool { return s.assign[l] }
 
 // ErrAddAfterUnsat is returned when clauses are added to a solver already
@@ -305,8 +456,9 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	}
 	s.backtrackTo(0)
 	// Normalize.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
@@ -333,57 +485,57 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		s.ok = false
 		return nil
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 		}
 		return nil
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.alloc(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return nil
 }
 
-func (s *Solver) attach(c *clause) {
-	if len(c.lits) == 2 {
-		s.binWatches[c.lits[0].Not()] = append(s.binWatches[c.lits[0].Not()], binWatcher{c.lits[1], c})
-		s.binWatches[c.lits[1].Not()] = append(s.binWatches[c.lits[1].Not()], binWatcher{c.lits[0], c})
+func (s *Solver) attach(c cref) {
+	l0, l1 := s.lit(c, 0), s.lit(c, 1)
+	if s.size(c) == 2 {
+		s.binWatches[l0.Not()] = append(s.binWatches[l0.Not()], binWatcher{l1, c})
+		s.binWatches[l1.Not()] = append(s.binWatches[l1.Not()], binWatcher{l0, c})
 		return
 	}
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{c, l1})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{c, l0})
 }
 
-func (s *Solver) detach(c *clause) {
-	if len(c.lits) == 2 {
-		for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-			ws := s.binWatches[w]
-			for i := range ws {
-				if ws[i].c == c {
-					ws[i] = ws[len(ws)-1]
-					s.binWatches[w] = ws[:len(ws)-1]
-					break
-				}
-			}
-		}
-		return
-	}
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
-		ws := s.watches[w]
-		for i := range ws {
-			if ws[i].c == c {
-				ws[i] = ws[len(ws)-1]
-				s.watches[w] = ws[:len(ws)-1]
-				break
-			}
+// detach swap-removes c's two watch entries (binary or long).
+func (s *Solver) detach(c cref) {
+	bin := s.size(c) == 2
+	for i := 0; i < 2; i++ {
+		w := s.lit(c, i).Not()
+		if bin {
+			s.binWatches[w] = swapRemove(s.binWatches[w], func(bw binWatcher) bool { return bw.c == c })
+		} else {
+			s.watches[w] = swapRemove(s.watches[w], func(lw watcher) bool { return lw.c == c })
 		}
 	}
+}
+
+// swapRemove removes the first element matching is by moving the last
+// element into its place.
+func swapRemove[W any](ws []W, is func(W) bool) []W {
+	for i := range ws {
+		if is(ws[i]) {
+			ws[i] = ws[len(ws)-1]
+			return ws[:len(ws)-1]
+		}
+	}
+	return ws
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	s.assign[l] = lTrue
 	s.assign[l^1] = lFalse
@@ -392,8 +544,9 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; returns a conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; returns a conflicting clause or
+// crefUndef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -420,21 +573,23 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Make sure the falsified literal is lits[1].
-			if c.lits[0] == notP {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if Lit(lits[0]) == notP {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := Lit(lits[0])
 			if first != w.blocker && s.value(first) == lTrue {
 				ws[n] = watcher{c, first}
 				n++
 				continue
 			}
 			// Look for a new watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.value(Lit(lits[k])) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					q := Lit(lits[1]).Not()
+					s.watches[q] = append(s.watches[q], watcher{c, first})
 					continue nextWatcher
 				}
 			}
@@ -455,7 +610,7 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = ws[:n]
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) varBump(v int) {
@@ -473,11 +628,14 @@ func (s *Solver) varBump(v int) {
 
 func (s *Solver) varDecayActivity() { s.varInc /= s.varDecay }
 
-func (s *Solver) claBump(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e30 {
+// claBump bumps any clause's activity, problem clauses included; only
+// learnt activities are rescaled, as only they are ever compared.
+func (s *Solver) claBump(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e30 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-30
+			s.setAct(lc, s.act(lc)*1e-30)
 		}
 		s.claInc *= 1e-30
 	}
@@ -505,24 +663,26 @@ func (s *Solver) lbdPrecise(lits []Lit) int32 {
 }
 
 // analyze performs first-UIP conflict analysis. It returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause is
+// the solver's scratch buffer, valid until the next analyze.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for the asserting literal
 	pathC := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
-	var toClear []int
+	toClear := s.toClear[:0]
 
 	for {
 		s.claBump(confl)
-		for _, q := range confl.lits {
+		for _, w := range s.lits(confl) {
+			q := Lit(w)
 			if p >= 0 && q == p {
 				continue
 			}
 			v := q.Var()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.seen[v] = true
-				toClear = append(toClear, v)
+				toClear = append(toClear, int32(v))
 				s.varBump(v)
 				if int(s.level[v]) >= s.decisionLevel() {
 					pathC++
@@ -559,6 +719,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for _, v := range toClear {
 		s.seen[v] = false
 	}
+	s.learntBuf, s.toClear = learnt, toClear
 
 	// Backtrack level: max level among learnt[1:], and move that literal to
 	// position 1 for watching.
@@ -596,14 +757,14 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 		if !s.seen[v] {
 			continue
 		}
-		if s.reason[v] == nil {
+		if s.reason[v] == crefUndef {
 			// A decision below the branching levels is an assumption.
 			if s.level[v] > 0 {
 				core = append(core, s.trail[i])
 			}
 		} else {
-			for _, q := range s.reason[v].lits {
-				if q.Var() != v && s.level[q.Var()] > 0 {
+			for _, w := range s.lits(s.reason[v]) {
+				if q := Lit(w); q.Var() != v && s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
 			}
@@ -624,10 +785,11 @@ func (s *Solver) FinalCore() []Lit { return s.finalCore }
 // remaining marked literals (simple non-recursive check on its reason).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == crefUndef {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, w := range s.lits(r) {
+		q := Lit(w)
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -649,7 +811,7 @@ func (s *Solver) backtrackTo(level int) {
 		s.phase[v] = s.assign[l&^1] == lTrue
 		s.assign[l] = lUndef
 		s.assign[l^1] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		if s.heapPos[v] < 0 {
 			s.heapInsert(int32(v))
 		}
@@ -735,26 +897,23 @@ func (s *Solver) reduceDB() {
 	s.stats.Reductions++
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
-		if a.lbd != b.lbd {
-			return a.lbd > b.lbd // worst first
+		if la, lb := s.lbd(a), s.lbd(b); la != lb {
+			return la > lb // worst first
 		}
-		return a.act < b.act
+		return s.act(a) < s.act(b)
 	})
 	keepFrom := len(s.learnts) / 2
 	kept := s.learnts[:0]
 	for i, c := range s.learnts {
-		locked := false
-		if s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c {
-			locked = true
-		}
-		if i >= keepFrom || c.lbd <= 3 || len(c.lits) == 2 || locked {
+		if i >= keepFrom || s.lbd(c) <= 3 || s.size(c) == 2 || s.locked(c) {
 			kept = append(kept, c)
 		} else {
-			s.detach(c)
+			s.remove(c)
 			s.stats.Removed++
 		}
 	}
 	s.learnts = kept
+	s.maybeCompact()
 }
 
 // PruneLearnts detaches every learnt clause whose LBD exceeds maxLBD or
@@ -775,11 +934,10 @@ func (s *Solver) PruneLearnts(maxLBD int32, maxSize int) int {
 	kept := s.learnts[:0]
 	removed := 0
 	for _, c := range s.learnts {
-		locked := s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
-		if locked || len(c.lits) == 2 || (c.lbd <= maxLBD && len(c.lits) <= maxSize) {
+		if s.locked(c) || s.size(c) == 2 || (s.lbd(c) <= maxLBD && s.size(c) <= maxSize) {
 			kept = append(kept, c)
 		} else {
-			s.detach(c)
+			s.remove(c)
 			removed++
 		}
 	}
@@ -787,6 +945,7 @@ func (s *Solver) PruneLearnts(maxLBD int32, maxSize int) int {
 	if removed > 0 {
 		s.stats.Removed += int64(removed)
 		s.stats.Reductions++
+		s.maybeCompact()
 	}
 	return removed
 }
@@ -910,7 +1069,7 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 			return Unknown
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -920,14 +1079,15 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 			learnt, btLevel := s.analyze(confl)
 			s.backtrackTo(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
-				c.lbd = s.lbdPrecise(learnt)
+				c := s.alloc(learnt, true)
+				lbd := s.lbdPrecise(learnt)
+				s.setLBD(c, lbd)
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnts++
-				s.stats.LBDSum += int64(c.lbd)
-				if b := int(c.lbd); b < LBDBuckets {
+				s.stats.LBDSum += int64(lbd)
+				if b := int(lbd); b < LBDBuckets {
 					s.lbdHist[b]++
 				} else {
 					s.lbdHist[LBDBuckets-1]++
@@ -970,7 +1130,7 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 				return Unsat
 			default:
 				s.trailLim = append(s.trailLim, int32(len(s.trail)))
-				s.uncheckedEnqueue(p, nil)
+				s.uncheckedEnqueue(p, crefUndef)
 			}
 			continue
 		}
@@ -980,7 +1140,7 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), crefUndef)
 	}
 }
 

@@ -205,34 +205,30 @@ func bruteForceSat(nVars int, cls [][]Lit) bool {
 }
 
 // Property: solver agrees with brute force on random small instances, and
-// SAT models actually satisfy all clauses.
+// SAT models actually satisfy all clauses. Each instance is solved with
+// the default learnt cap and with tinyLearntCap, which reduces the learnt
+// database on almost every step.
 func TestPropSolverVsBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nVars := 4 + r.Intn(9)
 		nClauses := 5 + r.Intn(40)
 		cls := randomCNF(r, nVars, nClauses, 3)
-		s := New(nVars)
-		for _, c := range cls {
-			s.AddClause(c...)
-		}
-		st := s.Solve(Limits{})
 		want := bruteForceSat(nVars, cls)
-		if (st == Sat) != want {
-			return false
-		}
-		if st == Sat {
+		for _, tiny := range []bool{false, true} {
+			s := New(nVars)
+			if tiny {
+				s.learntCap = tinyLearntCap
+			}
 			for _, c := range cls {
-				ok := false
-				for _, l := range c {
-					if s.Model(l.Var()) != l.IsNeg() {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return false
-				}
+				s.AddClause(c...)
+			}
+			st := s.Solve(Limits{})
+			if (st == Sat) != want {
+				return false
+			}
+			if st == Sat && !modelSatisfies(s.ModelSlice(), cls) {
+				return false
 			}
 		}
 		return true
@@ -242,7 +238,8 @@ func TestPropSolverVsBruteForce(t *testing.T) {
 	}
 }
 
-// Property: mixed clause widths (1..4) also agree with brute force.
+// Property: mixed clause widths (1..4) also agree with brute force, at
+// both learnt caps.
 func TestPropSolverMixedWidths(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -255,12 +252,20 @@ func TestPropSolverMixedWidths(t *testing.T) {
 			}
 			cls = append(cls, randomCNF(r, nVars, 1, k)[0])
 		}
-		s := New(nVars)
-		for _, c := range cls {
-			s.AddClause(c...)
+		want := bruteForceSat(nVars, cls)
+		for _, tiny := range []bool{false, true} {
+			s := New(nVars)
+			if tiny {
+				s.learntCap = tinyLearntCap
+			}
+			for _, c := range cls {
+				s.AddClause(c...)
+			}
+			if st := s.Solve(Limits{}); (st == Sat) != want {
+				return false
+			}
 		}
-		st := s.Solve(Limits{})
-		return (st == Sat) == bruteForceSat(nVars, cls)
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
