@@ -29,7 +29,9 @@ type File struct {
 func Parse(r io.Reader) (*File, error) {
 	f := &File{Inputs: -1, Outputs: -1}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may run to 1 MiB, but the buffer starts small and grows only
+	// for a line that needs it: a request-sized PLA costs a few KiB.
+	sc.Buffer(nil, 1<<20)
 	line := 0
 	for sc.Scan() {
 		line++

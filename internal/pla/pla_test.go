@@ -1,6 +1,7 @@
 package pla
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,5 +118,38 @@ func TestWriteSharedCubes(t *testing.T) {
 	text := Format(f)
 	if !strings.Contains(text, "1- 11") {
 		t.Fatalf("shared cube not merged:\n%s", text)
+	}
+}
+
+// TestParseSmallAllocation: a request-sized PLA must not pay for the
+// scanner's 1 MiB line limit up front. The service parses every request
+// body (and the front parses it again to route), so a buffer sized to
+// the limit cost 1 MiB allocated and zeroed per request.
+func TestParseSmallAllocation(t *testing.T) {
+	const in = ".i 3\n.o 1\n1-0 1\n011 1\n.e\n"
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseString(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("parsing a 5-line PLA allocated %d bytes", per)
+	}
+}
+
+// TestParseLongLine: lines beyond bufio's 64 KiB default still parse, up
+// to the 1 MiB limit.
+func TestParseLongLine(t *testing.T) {
+	in := ".i 2\n.o 1\n# " + strings.Repeat("x", 100<<10) + "\n1- 1\n.e\n"
+	f, err := ParseString(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Covers[0].Cubes) != 1 {
+		t.Fatalf("cover = %v", f.Covers[0])
 	}
 }
