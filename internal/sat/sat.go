@@ -333,13 +333,11 @@ func (s *Solver) Reserve(clauses, lits int) {
 
 // --- clause arena --------------------------------------------------------
 
-// alloc appends a clause to the arena and returns its offset.
-func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+// alloc appends a clause to the arena and returns its offset. lbdWord is
+// the header's LBD word: 0 for a problem clause, learntBit|LBD for a
+// learnt one.
+func (s *Solver) alloc(lits []Lit, lbdWord uint32) cref {
 	c := cref(len(s.arena))
-	var lbdWord uint32
-	if learnt {
-		lbdWord = learntBit
-	}
 	s.arena = append(s.arena, uint32(len(lits)), lbdWord, 0)
 	for _, l := range lits {
 		s.arena = append(s.arena, uint32(l))
@@ -360,8 +358,6 @@ func (s *Solver) size(c cref) int { return int(s.arena[c] &^ deletedBit) }
 func (s *Solver) lit(c cref, i int) Lit { return Lit(s.arena[c+hdrWords+cref(i)]) }
 
 func (s *Solver) lbd(c cref) int32 { return int32(s.arena[c+1] &^ learntBit) }
-
-func (s *Solver) setLBD(c cref, lbd int32) { s.arena[c+1] = s.arena[c+1]&learntBit | uint32(lbd) }
 
 func (s *Solver) act(c cref) float32 { return math.Float32frombits(s.arena[c+2]) }
 
@@ -395,9 +391,12 @@ func (s *Solver) maybeCompact() {
 // its new offset in the LBD word of its old header, which is the only
 // word read back before the old arena becomes the next spare. Relocation
 // keeps every list's order, so the search cannot tell that it happened.
+// The new arena gets the old one's capacity, so the learnts that follow
+// do not force a regrowth straight away; after two compactions the two
+// buffers take turns and compaction allocates nothing.
 func (s *Solver) compact() {
 	from := s.arena
-	to := slices.Grow(s.spare[:0], len(from)-s.wasted)
+	to := slices.Grow(s.spare[:0], cap(from))
 	for c := 0; c < len(from); {
 		next := c + hdrWords + int(from[c]&^deletedBit)
 		if from[c]&deletedBit == 0 {
@@ -491,7 +490,7 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		}
 		return nil
 	}
-	c := s.alloc(out, false)
+	c := s.alloc(out, 0)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return nil
@@ -547,6 +546,9 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 // propagate performs unit propagation; returns a conflicting clause or
 // crefUndef.
 func (s *Solver) propagate() cref {
+	// Propagation allocates no clause and no variable, so the arena and
+	// the assignment array stay where they are and are read once.
+	assign, arena := s.assign, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -554,7 +556,7 @@ func (s *Solver) propagate() cref {
 		notP := p.Not()
 		// Binary clauses first: no watch juggling needed.
 		for _, bw := range s.binWatches[p] {
-			switch s.value(bw.other) {
+			switch assign[bw.other] {
 			case lFalse:
 				s.qhead = len(s.trail)
 				return bw.c
@@ -567,26 +569,26 @@ func (s *Solver) propagate() cref {
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			if assign[w.blocker] == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
 			c := w.c
-			lits := s.lits(c)
+			lits := arena[c+hdrWords : c+hdrWords+cref(arena[c]&^deletedBit)]
 			// Make sure the falsified literal is lits[1].
 			if Lit(lits[0]) == notP {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := Lit(lits[0])
-			if first != w.blocker && s.value(first) == lTrue {
+			if first != w.blocker && assign[first] == lTrue {
 				ws[n] = watcher{c, first}
 				n++
 				continue
 			}
 			// Look for a new watch.
 			for k := 2; k < len(lits); k++ {
-				if s.value(Lit(lits[k])) != lFalse {
+				if assign[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					q := Lit(lits[1]).Not()
 					s.watches[q] = append(s.watches[q], watcher{c, first})
@@ -596,12 +598,9 @@ func (s *Solver) propagate() cref {
 			// Unit or conflict.
 			ws[n] = watcher{c, first}
 			n++
-			if s.value(first) == lFalse {
+			if assign[first] == lFalse {
 				// Conflict: copy back remaining watchers and bail.
-				for i++; i < len(ws); i++ {
-					ws[n] = ws[i]
-					n++
-				}
+				n += copy(ws[n:], ws[i+1:])
 				s.watches[p] = ws[:n]
 				s.qhead = len(s.trail)
 				return c
@@ -1081,9 +1080,8 @@ func (s *Solver) search(budget int64, lim Limits, deadline time.Time) Status {
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := s.alloc(learnt, true)
 				lbd := s.lbdPrecise(learnt)
-				s.setLBD(c, lbd)
+				c := s.alloc(learnt, learntBit|uint32(lbd))
 				s.learnts = append(s.learnts, c)
 				s.stats.Learnts++
 				s.stats.LBDSum += int64(lbd)
