@@ -15,6 +15,7 @@ import (
 	"github.com/lattice-tools/janus/internal/benchdata"
 	"github.com/lattice-tools/janus/internal/bounds"
 	"github.com/lattice-tools/janus/internal/core"
+	"github.com/lattice-tools/janus/internal/cube"
 	"github.com/lattice-tools/janus/internal/encode"
 	"github.com/lattice-tools/janus/internal/lattice"
 	"github.com/lattice-tools/janus/internal/memo"
@@ -269,7 +270,8 @@ func BenchmarkAblationEncoding(b *testing.B) {
 }
 
 // BenchmarkAblationEngine compares the monolithic LM encoding with the
-// CEGAR engine on a feasible and an infeasible lattice: CEGAR
+// CEGAR engine (on a pool of its own, holding the one grid) on a
+// feasible and an infeasible lattice: CEGAR
 // materializes only the truth-table entries it needs (wins on SAT
 // instances with many inputs) but must refine to completion for UNSAT
 // proofs where the monolithic encoding shines.
@@ -284,15 +286,17 @@ func BenchmarkAblationEngine(b *testing.B) {
 		{"unsat-3x3", lattice.Grid{M: 3, N: 3}},
 	}
 	for _, c := range cases {
-		for _, cegar := range []bool{false, true} {
-			name := c.name + "/monolithic"
-			if cegar {
-				name = c.name + "/cegar"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, e := range []struct {
+			name  string
+			solve func(target, targetDual cube.Cover, g lattice.Grid, opt encode.Options) (encode.Result, error)
+		}{
+			{"monolithic", encode.SolveLM},
+			{"cegar", encode.SolveLMCegar},
+		} {
+			b.Run(c.name+"/"+e.name, func(b *testing.B) {
 				var vars int
 				for i := 0; i < b.N; i++ {
-					r, err := encode.SolveLM(isop, dual, c.g, encode.Options{CEGAR: cegar})
+					r, err := e.solve(isop, dual, c.g, encode.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -345,70 +349,46 @@ func BenchmarkCegarEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedSearch compares the whole dichotomic search across the
-// three engine strategies: fresh per-candidate CEGAR solvers, the shared
-// assumption-based solver, and the auto policy that picks per step.
-// "stamped-clauses" is the clause volume actually built when a shared
-// pool runs; compare it against the fresh run's "clauses-added" to see
-// how much construction the activation-literal reuse avoids, and the
-// ns/op columns for the wall-clock effect. The auto rows additionally
-// report the policy trail (shared/fresh step counts, predicted depth)
-// and the clause-quality filter's work — the inputs to the
-// engine_policy block of BENCH_janus.json and its perfgate rule.
+// BenchmarkSharedSearch times the whole dichotomic search, which runs
+// every LM solve on one shared assumption pool per synthesis, and reports
+// the pool's counters: clauses added, skeleton reuses, counterexample
+// clauses transferred between candidates, and the clause-quality
+// filter's work. These rows feed the search block of BENCH_janus.json
+// and its perfgate rule.
 //
 // Every iteration starts from cleared memo caches: the process-wide
 // path/table/cover caches would otherwise let iteration order decide
-// how much enumeration work each mode pays, and the instances are
-// chosen so the dichotomic search actually runs (dc1_02 and b12_03,
-// measured here before, have lb == nub — their searches decide zero LM
-// problems and every solver metric reads zero regardless of engine).
+// how much enumeration work each run pays, and the instances are chosen
+// so the dichotomic search actually runs (dc1_02 and b12_03, measured
+// here before, have lb == nub — their searches decide zero LM problems
+// and every solver metric reads zero).
 func BenchmarkSharedSearch(b *testing.B) {
-	insts := []string{"dc1_00", "dc1_03", "mp2d_06", "misex1_04"}
-	modes := []struct {
-		name string
-		sel  core.EngineSelect
-	}{
-		{"fresh", core.EngineFresh},
-		{"shared", core.EngineShared},
-		{"auto", core.EngineAuto},
-	}
-	for _, name := range insts {
+	for _, name := range []string{"dc1_00", "dc1_03", "mp2d_06", "misex1_04"} {
 		f, _ := benchdata.Lookup(name).Function()
-		for _, mode := range modes {
-			b.Run(name+"/"+mode.name, func(b *testing.B) {
-				var r core.Result
-				opt := core.Options{EngineSelect: mode.sel}
-				opt.Encode.CEGAR = true
-				opt.Encode.Limits = benchLimits()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					memo.Reset()
-					b.StartTimer()
-					var err error
-					r, err = core.Synthesize(f, opt)
-					if err != nil {
-						b.Fatal(err)
-					}
+		b.Run(name, func(b *testing.B) {
+			var r core.Result
+			var opt core.Options
+			opt.Encode.Limits = benchLimits()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				memo.Reset()
+				b.StartTimer()
+				var err error
+				r, err = core.Synthesize(f, opt)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(r.Size), "switches")
-				b.ReportMetric(float64(r.ClausesAdded), "clauses-added")
-				if r.FreshSteps+r.SharedSteps == 0 {
-					b.Fatalf("%s: no dichotomic step ran; pick an instance with lb < nub", name)
-				}
-				if mode.sel != core.EngineFresh {
-					b.ReportMetric(float64(r.StampedClauses), "stamped-clauses")
-					b.ReportMetric(float64(r.SharedReused), "solver-reuses")
-					b.ReportMetric(float64(r.TransferredCEX), "cex-transferred")
-					b.ReportMetric(float64(r.CEXFiltered), "cex-filtered")
-					b.ReportMetric(float64(r.LearntsPruned), "learnts-pruned")
-				}
-				if mode.sel == core.EngineAuto {
-					b.ReportMetric(float64(r.SharedSteps), "shared-steps")
-					b.ReportMetric(float64(r.FreshSteps), "fresh-steps")
-					b.ReportMetric(float64(r.PredictedDepth), "predicted-depth")
-				}
-			})
-		}
+			}
+			if r.LB == r.NUB {
+				b.Fatalf("%s: no dichotomic step ran; pick an instance with lb < nub", name)
+			}
+			b.ReportMetric(float64(r.Size), "switches")
+			b.ReportMetric(float64(r.ClausesAdded), "clauses-added")
+			b.ReportMetric(float64(r.SharedReused), "solver-reuses")
+			b.ReportMetric(float64(r.TransferredCEX), "cex-transferred")
+			b.ReportMetric(float64(r.CEXFiltered), "cex-filtered")
+			b.ReportMetric(float64(r.LearntsPruned), "learnts-pruned")
+		})
 	}
 }
 

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	janus [-o N] [-multi] [-cegar] [-portfolio] [-engine MODE] [-conflicts N]
-//	      [-timeout D] [-v] [-progress] [-trace FILE] [-debug-addr ADDR] [file.pla]
+//	janus [-o N] [-multi] [-conflicts N] [-timeout D] [-v] [-progress]
+//	      [-trace FILE] [-debug-addr ADDR] [file.pla]
 //
 // Without -multi each selected output is synthesized on its own lattice;
 // with -multi all outputs are packed onto a single lattice with JANUS-MF.
@@ -28,10 +28,6 @@ func main() {
 	var (
 		outIdx    = flag.Int("o", -1, "synthesize only this output index (default: all)")
 		multi     = flag.Bool("multi", false, "realize all outputs on a single lattice (JANUS-MF)")
-		cegar     = flag.Bool("cegar", false, "use the CEGAR LM engine")
-		portfolio = flag.Bool("portfolio", false, "race the primal and dual orientations of each candidate lattice (implies -cegar)")
-		engine    = flag.String("engine", "auto", "LM solver strategy: auto (per-step policy), shared (one assumption-based solver pool), or fresh (per-candidate solvers)")
-		shared    = flag.Bool("shared", false, "deprecated: alias for -engine shared (implies -cegar)")
 		conflicts = flag.Int64("conflicts", 0, "SAT conflict budget per LM call (0 = unlimited)")
 		timeout   = flag.Duration("timeout", 0, "SAT time budget per LM call (0 = unlimited)")
 		verbose   = flag.Bool("v", false, "print bounds and search statistics")
@@ -56,19 +52,8 @@ func main() {
 		fatal(err)
 	}
 
-	sel, err := janus.ParseEngineSelect(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	if *shared {
-		sel = janus.EngineShared
-	}
-
 	opt := janus.Options{}
 	opt.Encode.Limits = janus.SATLimits{MaxConflicts: *conflicts, Timeout: *timeout}
-	opt.Encode.CEGAR = *cegar
-	opt.Portfolio = *portfolio
-	opt.EngineSelect = sel
 	if *progress {
 		opt.Progress = janus.NewProgressWriter(os.Stderr)
 	}
@@ -124,13 +109,9 @@ func main() {
 			fmt.Printf("  lb=%d oub=%d nub=%d (%s)  LM solved=%d  elapsed=%v  matched-lb=%v\n",
 				res.LB, res.OUB, res.NUB, res.UBMethod, res.LMSolved,
 				res.Elapsed.Round(time.Millisecond), res.MatchedLB)
-			if res.Engine != "" {
-				fmt.Printf("  engine: %s (predicted depth %d, %d shared / %d fresh steps)\n",
-					res.Engine, res.PredictedDepth, res.SharedSteps, res.FreshSteps)
-			}
-			if res.SharedSteps > 0 {
-				fmt.Printf("  shared: reused=%d stamped=%d cex-transferred=%d cex-filtered=%d learnts-pruned=%d\n",
-					res.SharedReused, res.StampedClauses, res.TransferredCEX,
+			if res.LMSolved > 0 {
+				fmt.Printf("  pool: clauses=%d cegar-iters=%d reused=%d cex-transferred=%d cex-filtered=%d learnts-pruned=%d\n",
+					res.ClausesAdded, res.CegarIters, res.SharedReused, res.TransferredCEX,
 					res.CEXFiltered, res.LearntsPruned)
 			}
 		}

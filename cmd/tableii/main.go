@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tableii [-run regexp] [-methods janus,exact,approx,heur] \
-//	        [-conflicts N] [-timeout D] [-cegar] [-engine MODE] [-progress]
+//	        [-conflicts N] [-timeout D] [-progress]
 //
 // The original MCNC instances are replaced by deterministic synthetic
 // stand-ins with the same (#in, #pi, δ) profiles; see DESIGN.md.
@@ -35,9 +35,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "SAT time budget per LM call")
 		workers   = flag.Int("workers", 1, "parallel LM solves per search midpoint")
 		budget    = flag.Duration("budget", 0, "wall-clock budget per instance for JANUS (0 = unlimited)")
-		cegar     = flag.Bool("cegar", false, "use the CEGAR LM engine for JANUS")
-		engine    = flag.String("engine", "auto", "LM solver strategy for JANUS: auto, shared, or fresh")
-		shared    = flag.Bool("shared", false, "deprecated: alias for -engine shared (implies -cegar)")
 		tracePath = flag.String("trace", "", "write a JSONL span trace of every JANUS run to this file")
 		progress  = flag.Bool("progress", false, "print live progress events of every JANUS run to stderr")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address")
@@ -85,21 +82,12 @@ func main() {
 		want[strings.TrimSpace(m)] = true
 	}
 	lims := janus.SATLimits{MaxConflicts: *conflicts, Timeout: *timeout}
-	sel, err := janus.ParseEngineSelect(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tableii:", err)
-		os.Exit(1)
-	}
-	if *shared {
-		sel = janus.EngineShared
-	}
 
 	fmt.Printf("%-10s %3s %3s %2s | %4s %4s %4s | %-28s | %s\n",
 		"instance", "in", "pi", "d", "lb", "oub", "nub", "measured (method sol sec)", "paper (lb oub nub | sols)")
 	var sumSize, sumPaper, n int
 	var added, rebuilt, iters int64
-	var reused, stamped, transferred, filtered, pruned int64
-	var sharedSteps, freshSteps int
+	var reused, transferred, filtered, pruned int64
 	for _, inst := range benchdata.TableII() {
 		if re != nil && !re.MatchString(inst.Name) {
 			continue
@@ -119,8 +107,6 @@ func main() {
 		if want["janus"] {
 			opt := janus.Options{Workers: *workers, Budget: *budget, Tracer: tracer}
 			opt.Encode.Limits = lims
-			opt.Encode.CEGAR = *cegar
-			opt.EngineSelect = sel
 			if *progress {
 				fmt.Fprintf(os.Stderr, "tableii: %s\n", inst.Name)
 				opt.Progress = janus.NewProgressWriter(os.Stderr)
@@ -136,12 +122,9 @@ func main() {
 				rebuilt += r.ClausesRebuilt
 				iters += r.CegarIters
 				reused += r.SharedReused
-				stamped += r.StampedClauses
 				transferred += r.TransferredCEX
 				filtered += r.CEXFiltered
 				pruned += r.LearntsPruned
-				sharedSteps += r.SharedSteps
-				freshSteps += r.FreshSteps
 				if nub > r.NUB {
 					nub = r.NUB // DS may improve on the constructive bounds
 				}
@@ -177,10 +160,9 @@ func main() {
 		fmt.Printf("\nJANUS average switches: measured %.1f vs paper %.1f over %d instances\n",
 			float64(sumSize)/float64(n), float64(sumPaper)/float64(n), n)
 		fmt.Printf("SAT effort: %s\n", report.Effort(added, rebuilt, iters))
-		fmt.Printf("engine policy (%s): %d shared / %d fresh steps\n", sel, sharedSteps, freshSteps)
-		if sharedSteps > 0 {
-			fmt.Printf("shared solver: %d solver reuses  %d clauses stamped  %d cex clauses transferred  %d cex filtered  %d learnts pruned\n",
-				reused, stamped, transferred, filtered, pruned)
+		if iters > 0 {
+			fmt.Printf("shared solver: %d solver reuses  %d cex clauses transferred  %d cex filtered  %d learnts pruned\n",
+				reused, transferred, filtered, pruned)
 		}
 		// The rest of the footer reads the process-wide metrics registry,
 		// the same data /metrics and expvar serve.

@@ -5,22 +5,21 @@ import (
 	"testing"
 
 	"github.com/lattice-tools/janus/internal/benchdata"
-	"github.com/lattice-tools/janus/internal/encode"
 	"github.com/lattice-tools/janus/internal/obsv"
 	"github.com/lattice-tools/janus/internal/sat"
 )
 
 // TestGoldenResults pins the search effort of three quick Table II
-// instances under the paper workload's options (default engine policy,
-// sequential, 1,000 conflicts per LM call). The shared engine's
-// assumption vector is ordered, so every LM call makes the same decisions
-// on every run; a solver refactor that keeps the search trajectory keeps
-// these numbers, and a heuristic change moves them on purpose.
+// instances under the paper workload's options (sequential, 1,000
+// conflicts per LM call), twice each. The pool's assumption vector is
+// ordered, so every LM call makes the same decisions on every run; a
+// solver refactor that keeps the search trajectory keeps these numbers,
+// and a heuristic change moves them on purpose.
 func TestGoldenResults(t *testing.T) {
 	want := map[string]string{
-		"mp2d_06":   "size=12 lm=2 clauses=11269 iters=0 engine=fresh",
-		"dc1_03":    "size=12 lm=8 clauses=14895 iters=17 engine=mixed",
-		"misex1_04": "size=12 lm=7 clauses=18083 iters=19 engine=mixed",
+		"mp2d_06":   "size=12 lm=2 clauses=5227 iters=24",
+		"dc1_03":    "size=12 lm=8 clauses=8511 iters=37",
+		"misex1_04": "size=12 lm=7 clauses=16775 iters=31",
 	}
 	var opt Options
 	opt.Encode.Limits = sat.Limits{MaxConflicts: 1000}
@@ -34,8 +33,8 @@ func TestGoldenResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			got := fmt.Sprintf("size=%d lm=%d clauses=%d iters=%d engine=%s",
-				r.Size, r.LMSolved, r.ClausesAdded, r.CegarIters, r.Engine)
+			got := fmt.Sprintf("size=%d lm=%d clauses=%d iters=%d",
+				r.Size, r.LMSolved, r.ClausesAdded, r.CegarIters)
 			if got != want[name] {
 				t.Errorf("%s run %d: got %s, want %s", name, run, got, want[name])
 			}
@@ -43,8 +42,9 @@ func TestGoldenResults(t *testing.T) {
 	}
 }
 
-// TestGoldenPoolSearch pins the search the shared assumption pool runs on
-// the paper workload's options (sequential, 1,000 conflicts per LM call):
+// TestGoldenPoolSearch pins the search the shared assumption pool runs
+// under the paper workload's options (sequential, 1,000 conflicts per LM
+// call):
 // four Table II instances through Synthesize and Table III's bw through
 // SynthesizeMulti with row reduction. Each row pins the answer, the LM
 // solves, the clauses handed to the solver, the CEGAR iterations and the
@@ -64,7 +64,6 @@ func TestGoldenPoolSearch(t *testing.T) {
 	for _, name := range []string{"mp2d_06", "dc1_03", "misex1_04", "ex5_06", "bw"} {
 		var opt Options
 		opt.Encode.Limits = sat.Limits{MaxConflicts: 1000}
-		opt.Encode.Shared = encode.NewSharedPool()
 		c0, p0 := conflicts.Value(), props.Value()
 		var size, lm int
 		var clauses, iters int64

@@ -54,9 +54,14 @@ type Options struct {
 	MFReduceBudget int
 	// Workers solves the candidate lattices of each search midpoint
 	// concurrently (the paper's machine ran 28 cores). Values below 2 keep
-	// the search sequential. The result is deterministic: among the
-	// satisfiable candidates of a midpoint, the smallest area wins with
-	// ties broken by candidate order.
+	// the search sequential. Among the satisfiable candidates of a
+	// midpoint, the smallest area wins with ties broken by candidate
+	// order. Candidates of one orientation share one pool engine and
+	// serialize on it, in scheduling order, and they share its learnt
+	// clauses; so without a SAT budget the search is exact and the size
+	// is the same on every run, but under a conflict budget or timeout the
+	// answers can vary from run to run. Only Workers below 2 is
+	// deterministic under a budget.
 	Workers int
 	// Budget bounds the whole synthesis by wall clock (the paper's
 	// analogue is the 6-hour CPU limit per instance). When it expires the
@@ -71,35 +76,6 @@ type Options struct {
 	// far is returned. Nil means no cancellation (context.Background
 	// semantics without the import on every call site).
 	Ctx context.Context
-	// Portfolio races the primal and dual CEGAR orientations of every
-	// candidate lattice concurrently, taking the first definitive answer
-	// and cancelling the loser (the ROADMAP's portfolio solving item).
-	// Implies the CEGAR engine for LM solves.
-	Portfolio bool
-	// EngineSelect picks the LM solver strategy per dichotomic step. The
-	// default, EngineAuto, predicts each step's remaining search depth
-	// from the bounds gap, the cover breadth, and the LM problems solved
-	// so far, and chooses fresh per-candidate engines below
-	// EngineThreshold and the shared assumption-based pool at or above
-	// it. EngineShared and EngineFresh pin every step. Ignored under
-	// Portfolio, whose racing orientations need independent solvers.
-	EngineSelect EngineSelect
-	// EngineThreshold tunes the auto policy's fresh/shared crossover
-	// (zero means DefaultEngineThreshold).
-	EngineThreshold int
-	// SharedSolver keeps one assumption-based SAT solver alive per
-	// (cover, orientation) for the whole search and shares it across
-	// every candidate grid — of one dichotomic midpoint and of adjacent
-	// midpoints where the shapes recur: skeletons are guarded by
-	// activation literals, entry clauses are stamped from path templates,
-	// and CEGAR counterexample entries transfer between candidates
-	// (see encode.SharedPool). Implies the CEGAR engine; ignored under
-	// Portfolio, whose racing orientations need independent solvers.
-	//
-	// Deprecated: SharedSolver is the pre-policy spelling of
-	// EngineSelect = EngineShared and is kept for compatibility; the auto
-	// policy subsumes it as the default.
-	SharedSolver bool
 	// Deadline is the absolute form of Budget; set automatically, and
 	// inherited by DS/MF sub-syntheses so nested searches share the same
 	// wall-clock budget.
@@ -171,39 +147,25 @@ type Result struct {
 	MatchedLB bool
 	// LMSolved counts LM SAT problems decided during the search.
 	LMSolved int
-	// ClausesAdded totals the CNF clauses actually handed to SAT solvers
+	// ClausesAdded totals the CNF clauses handed to the pool's solvers
 	// across every LM solve of the search (including DS sub-syntheses).
 	ClausesAdded int64
 	// ClausesRebuilt is the clause volume a rebuild-per-iteration CEGAR
 	// engine would have pushed; the gap to ClausesAdded is the saving of
-	// the incremental engine (the two are equal for monolithic solves).
+	// the incremental engine.
 	ClausesRebuilt int64
 	// CegarIters totals CEGAR refinement iterations across LM solves.
 	CegarIters int64
-	// SharedReused counts LM solves answered on an already-stamped grid
-	// skeleton of the shared solver (Options.SharedSolver only).
+	// SharedReused counts LM solves answered on a grid skeleton the pool
+	// had already written.
 	SharedReused int64
-	// StampedClauses totals the clauses stamped directly into shared
-	// solvers; the gap to ClausesAdded under a fresh-solver run is the
-	// construction the sharing avoided.
-	StampedClauses int64
 	// TransferredCEX totals the counterexample-entry clauses candidates
 	// inherited from entries other candidates discovered.
 	TransferredCEX int64
-	// Engine is the engine policy's overall verdict for the search:
-	// "fresh", "shared", "mixed" (steps of both kinds, DS/MF
-	// sub-syntheses included), or "" when no dichotomic step ran.
-	Engine string
-	// PredictedDepth is the policy's depth score at this synthesis' first
-	// dichotomic step (zero when the bounds met before any step).
-	PredictedDepth int
-	// SharedSteps and FreshSteps count the dichotomic steps each engine
-	// kind ran, sub-syntheses included.
-	SharedSteps, FreshSteps int
-	// CEXFiltered totals the counterexample entries the shared engines'
-	// transfer quality filter declined to stamp; LearntsPruned the learnt
-	// clauses they shed on grid switches. Both are speed-only knobs —
-	// see encode.Options.CEXTransferLimit.
+	// CEXFiltered totals the counterexample entries the pool's transfer
+	// quality filter declined to write; LearntsPruned the learnt clauses
+	// it shed on grid switches. Both are speed-only knobs — see
+	// encode.Options.CEXTransferLimit.
 	CEXFiltered   int64
 	LearntsPruned int64
 	// GridsProbed lists the distinct lattice shapes ("MxN") whose LM
@@ -244,25 +206,13 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		// solves already in flight, not just the gaps between them.
 		opt.Encode.Limits.Interrupt = opt.Ctx.Done()
 	}
-	if opt.Portfolio {
-		opt.Encode.Portfolio = true
-	}
-	// Engine policy: resolve the selection mode once; EngineShared gets
-	// its pool up front so DS and MF sub-syntheses inherit it through
-	// opt.Encode (keyed by cover, so their part-covers never collide).
-	// EngineAuto creates a pool lazily at the first step the depth
-	// predictor sends to the shared engine; sub-syntheses then decide for
-	// their own searches. One pool per synthesis either way: the engines
-	// grow with every skeleton, so they should live exactly as long as
-	// the search amortizing them.
-	engineMode := opt.engineMode()
-	switch engineMode {
-	case EngineShared:
-		if opt.Encode.Shared == nil {
-			opt.Encode.Shared = encode.NewSharedPool()
-		}
-	default:
-		opt.Encode.Shared = nil
+	if opt.Encode.Shared == nil {
+		// One pool per top-level synthesis serves every LM solve it makes:
+		// DS and MF sub-syntheses inherit it through opt.Encode (keyed by
+		// cover, so their part-covers never collide). The engines grow with
+		// every skeleton, so the pool lives exactly as long as the search
+		// amortizing them.
+		opt.Encode.Shared = encode.NewSharedPool()
 	}
 	if opt.Tracer == nil {
 		// Ctx-carried tracing: the service attaches a per-job tracer and
@@ -376,7 +326,6 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 	// anything of area ≤ mp fits, a maximal grid fits. The upper bound
 	// updates to the area actually found, which may be below mp.
 	ub := incumbent.Size()
-	pool := opt.Encode.Shared // non-nil iff engineMode == EngineShared
 	srchSpan, srchDone := phase(prog, root, "Search", "search", mPhaseSrchNS)
 	for lb < ub && !opt.expired() {
 		mp := (lb + ub) / 2
@@ -387,31 +336,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		step.SetInt("mp", int64(mp))
 		cands := candidates(mp, lb, opt.maxCells())
 		step.SetInt("candidates", int64(len(cands)))
-		// Engine policy: forced modes pin the step; auto predicts the
-		// remaining depth and, once a step has gone shared, stays there —
-		// the pool's skeletons and entries only gain value.
-		depth := predictDepth(ub-lb, len(isop.Cubes)+len(dual.Cubes), st.solved)
-		useShared := engineMode == EngineShared
-		if engineMode == EngineAuto {
-			useShared = pool != nil || depth >= opt.engineThreshold()
-		}
-		stepOpt := opt
-		if useShared {
-			if pool == nil {
-				// A pool opened mid-search starts cold while earlier fresh
-				// steps already paid for counterexamples; seed it with them
-				// so the flip doesn't re-derive known entries.
-				pool = encode.NewSharedPool()
-				pool.Warm(isop, dual, opt.Encode, st.cexInputs)
-			}
-			stepOpt.Encode.Shared = pool
-		} else {
-			stepOpt.Encode.Shared = nil
-		}
-		st.decide(useShared, depth)
-		step.SetStr("engine", engineName(useShared))
-		step.SetInt("predicted_depth", int64(depth))
-		best, err := solveCandidates(isop, dual, cands, stepOpt, step, &st)
+		best, err := solveCandidates(isop, dual, cands, opt, step, &st)
 		if err != nil {
 			step.SetStr("outcome", "error")
 			step.End()
@@ -430,7 +355,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 			step.SetStr("outcome", "unsat")
 			prog.bound(lb, ub, "unsat")
 		}
-		prog.step(engineName(useShared), len(st.grids))
+		prog.step(len(st.grids))
 		step.End()
 	}
 	srchDone()
@@ -442,13 +367,8 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 	res.ClausesRebuilt = st.rebuilt
 	res.CegarIters = st.iters
 	res.SharedReused = st.reused
-	res.StampedClauses = st.stamped
 	res.TransferredCEX = st.transferred
 	res.GridsProbed = st.grids
-	res.Engine = st.engineVerdict()
-	res.PredictedDepth = st.firstDepth
-	res.SharedSteps = st.sharedSteps
-	res.FreshSteps = st.freshSteps
 	res.CEXFiltered = st.filtered
 	res.LearntsPruned = st.pruned
 	res.Assignment = incumbent
@@ -463,10 +383,6 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 	if res.Partial {
 		root.SetBool("partial", true)
 	}
-	if res.Engine != "" {
-		root.SetStr("engine", res.Engine)
-		root.SetInt("predicted_depth", int64(res.PredictedDepth))
-	}
 	return res, nil
 }
 
@@ -480,66 +396,11 @@ type lmStats struct {
 	rebuilt     int64
 	iters       int64
 	reused      int64
-	stamped     int64
 	transferred int64
 	filtered    int64
 	pruned      int64
 	grids       []string
 	gridSeen    map[string]bool
-	// Engine policy trail: per-step decisions (sub-syntheses folded in
-	// via noteResult) and the depth score of this synthesis' own first
-	// step (depthSet guards it against DS sub-results arriving first).
-	sharedSteps, freshSteps int
-	firstDepth              int
-	depthSet                bool
-	// cexInputs is the deduplicated trail of target inputs where fresh
-	// main-loop candidates mismatched (encode.Result.CEXInputs). If the
-	// auto policy later opens a shared pool, these warm it so the pool
-	// doesn't rediscover what fresh steps already proved. Only main-loop
-	// solves feed it: DS sub-syntheses work on different sub-covers,
-	// whose counterexamples say nothing about this target.
-	cexInputs []uint64
-	cexSeen   map[uint64]bool
-}
-
-// noteCEX folds fresh-engine counterexample inputs in, deduplicated.
-func (st *lmStats) noteCEX(inputs []uint64) {
-	for _, in := range inputs {
-		if st.cexSeen[in] {
-			continue
-		}
-		if st.cexSeen == nil {
-			st.cexSeen = make(map[uint64]bool)
-		}
-		st.cexSeen[in] = true
-		st.cexInputs = append(st.cexInputs, in)
-	}
-}
-
-// decide records one dichotomic step's engine choice.
-func (st *lmStats) decide(shared bool, depth int) {
-	if !st.depthSet {
-		st.firstDepth = depth
-		st.depthSet = true
-	}
-	if shared {
-		st.sharedSteps++
-	} else {
-		st.freshSteps++
-	}
-}
-
-// engineVerdict summarizes the recorded decisions.
-func (st *lmStats) engineVerdict() string {
-	switch {
-	case st.sharedSteps > 0 && st.freshSteps > 0:
-		return "mixed"
-	case st.sharedSteps > 0:
-		return "shared"
-	case st.freshSteps > 0:
-		return "fresh"
-	}
-	return ""
 }
 
 // probe records one attempted lattice shape, deduplicated.
@@ -565,7 +426,6 @@ func (st *lmStats) note(r encode.Result) {
 	st.rebuilt += int64(r.RebuiltClauses)
 	st.iters += int64(r.CegarIters)
 	st.reused += int64(r.ReusedSolvers)
-	st.stamped += int64(r.StampedClauses)
 	st.transferred += int64(r.TransferredCEXClauses)
 	st.filtered += int64(r.TransferFiltered)
 	st.pruned += int64(r.PrunedLearnts)
@@ -578,12 +438,9 @@ func (st *lmStats) noteResult(r Result) {
 	st.rebuilt += r.ClausesRebuilt
 	st.iters += r.CegarIters
 	st.reused += r.SharedReused
-	st.stamped += r.StampedClauses
 	st.transferred += r.TransferredCEX
 	st.filtered += r.CEXFiltered
 	st.pruned += r.LearntsPruned
-	st.sharedSteps += r.SharedSteps
-	st.freshSteps += r.FreshSteps
 	for _, g := range r.GridsProbed {
 		if !st.gridSeen[g] {
 			if st.gridSeen == nil {
@@ -608,12 +465,11 @@ func solveCandidates(isop, dual cube.Cover, cands []lattice.Grid, opt Options, s
 				break
 			}
 			st.probe(g)
-			r, err := encode.SolveLM(isop, dual, g, eopt)
+			r, err := encode.SolveLMCegar(isop, dual, g, eopt)
 			if err != nil {
 				return nil, err
 			}
 			st.note(r)
-			st.noteCEX(r.CEXInputs)
 			if r.Status == sat.Sat {
 				return r.Assignment, nil
 			}
@@ -631,7 +487,7 @@ func solveCandidates(isop, dual cube.Cover, cands []lattice.Grid, opt Options, s
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = encode.SolveLM(isop, dual, g, eopt)
+			results[i], errs[i] = encode.SolveLMCegar(isop, dual, g, eopt)
 		}(i, g)
 	}
 	wg.Wait()
@@ -643,7 +499,6 @@ func solveCandidates(isop, dual cube.Cover, cands []lattice.Grid, opt Options, s
 		}
 		st.probe(cands[i])
 		st.note(r)
-		st.noteCEX(r.CEXInputs)
 		if r.Status == sat.Sat {
 			if best == nil || r.Assignment.Size() < best.Size() {
 				best = r.Assignment
@@ -835,7 +690,7 @@ func fixedRowSearch(p *part, rows, lo, hi int, opt Options, st *lmStats) *lattic
 			break
 		}
 		st.probe(lattice.Grid{M: rows, N: k})
-		r, err := encode.SolveLM(p.isop, p.dual, lattice.Grid{M: rows, N: k}, opt.Encode)
+		r, err := encode.SolveLMCegar(p.isop, p.dual, lattice.Grid{M: rows, N: k}, opt.Encode)
 		if err != nil {
 			return best
 		}
@@ -930,7 +785,7 @@ func trimCols(p *part, rows, hi int, opt Options, st *lmStats) *lattice.Assignme
 			break
 		}
 		st.probe(lattice.Grid{M: rows, N: k})
-		r, err := encode.SolveLM(p.isop, p.dual, lattice.Grid{M: rows, N: k}, opt.Encode)
+		r, err := encode.SolveLMCegar(p.isop, p.dual, lattice.Grid{M: rows, N: k}, opt.Encode)
 		if err != nil {
 			return best
 		}

@@ -309,13 +309,15 @@ func TestCegarThroughCore(t *testing.T) {
 	f := cube.NewCover(4,
 		cube.FromLiterals([]int{0, 1, 2, 3}, nil),
 		cube.FromLiterals(nil, []int{0, 1, 2, 3}))
-	opt := Options{}
-	opt.Encode.CEGAR = true
-	r, err := Synthesize(f, opt)
+	r, err := Synthesize(f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Size != 8 {
 		t.Fatalf("CEGAR-backed synthesis size = %d, want 8", r.Size)
+	}
+	if r.LMSolved == 0 || r.CegarIters < int64(r.LMSolved) {
+		t.Fatalf("every LM solve must run the refinement loop: %d solves, %d iterations",
+			r.LMSolved, r.CegarIters)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/lattice-tools/janus/internal/cube"
+	"github.com/lattice-tools/janus/internal/encode"
 	"github.com/lattice-tools/janus/internal/lattice"
 	"github.com/lattice-tools/janus/internal/minimize"
 	"github.com/lattice-tools/janus/internal/obsv"
@@ -67,24 +68,18 @@ type MultiResult struct {
 	Lattice  *MultiLattice
 	Parts    []Result
 	LMSolved int
-	// ClausesAdded / ClausesRebuilt / CegarIters aggregate the
-	// incremental-solving counters over every LM call, as in Result;
-	// SharedReused / StampedClauses / TransferredCEX do the same for the
-	// shared-solver counters (Options.SharedSolver).
+	// ClausesAdded, ClausesRebuilt, CegarIters, SharedReused,
+	// TransferredCEX, CEXFiltered and LearntsPruned aggregate the pool's
+	// counters over every LM call of the per-output searches and the
+	// row-reduction phase, as in Result.
 	ClausesAdded   int64
 	ClausesRebuilt int64
 	CegarIters     int64
 	SharedReused   int64
-	StampedClauses int64
 	TransferredCEX int64
-	// Engine policy aggregates over every per-output search and the
-	// row-reduction phase: step counts per engine kind, and the clause
-	// quality filter's drop/prune totals (see Result).
-	Engine                  string
-	SharedSteps, FreshSteps int
-	CEXFiltered             int64
-	LearntsPruned           int64
-	Elapsed                 time.Duration
+	CEXFiltered    int64
+	LearntsPruned  int64
+	Elapsed        time.Duration
 }
 
 // Sol formats the lattice shape like the paper's Table III ("3x135").
@@ -114,6 +109,11 @@ func SynthesizeMulti(fns []cube.Cover, opt Options, reduce bool) (*MultiResult, 
 		root.SetStr("request_id", id)
 	}
 	opt.TraceParent = root // per-output Synthesize roots nest under MF
+	if opt.Encode.Shared == nil {
+		// One pool serves every per-output search and the shared row
+		// reduction, as in Synthesize.
+		opt.Encode.Shared = encode.NewSharedPool()
+	}
 
 	mr := &MultiResult{}
 	var st lmStats
@@ -150,11 +150,7 @@ func SynthesizeMulti(fns []cube.Cover, opt Options, reduce bool) (*MultiResult, 
 	mr.ClausesRebuilt = st.rebuilt
 	mr.CegarIters = st.iters
 	mr.SharedReused = st.reused
-	mr.StampedClauses = st.stamped
 	mr.TransferredCEX = st.transferred
-	mr.Engine = st.engineVerdict()
-	mr.SharedSteps = st.sharedSteps
-	mr.FreshSteps = st.freshSteps
 	mr.CEXFiltered = st.filtered
 	mr.LearntsPruned = st.pruned
 	ml := packMulti(parts, targets)

@@ -110,7 +110,7 @@ func (p *progTrail) incumbent(a *lattice.Assignment, method string) {
 }
 
 // step reports one finished dichotomic step.
-func (p *progTrail) step(engine string, gridsProbed int) {
+func (p *progTrail) step(gridsProbed int) {
 	if p == nil {
 		return
 	}
@@ -119,7 +119,6 @@ func (p *progTrail) step(engine string, gridsProbed int) {
 		return
 	}
 	p.sink.Progress(obsv.ProgressEvent{
-		Kind: obsv.ProgressStep, Step: p.steps, Engine: engine,
-		GridsProbed: gridsProbed, Sub: p.sub,
+		Kind: obsv.ProgressStep, Step: p.steps, GridsProbed: gridsProbed, Sub: p.sub,
 	})
 }

@@ -22,19 +22,3 @@ func TestProfileClpl00(t *testing.T) {
 	t.Logf("clpl_00: %v size=%d lb=%d nub=%d lm=%d elapsed=%v",
 		r.Grid, r.Size, r.LB, r.NUB, r.LMSolved, r.Elapsed)
 }
-
-// TestProfileClpl00Cegar mirrors TestProfileClpl00 with the CEGAR engine.
-func TestProfileClpl00Cegar(t *testing.T) {
-	if testing.Short() {
-		t.Skip("profiling helper")
-	}
-	f, _ := benchdata.Lookup("clpl_00").Function()
-	opt := Options{Budget: 30 * time.Second}
-	opt.Encode.CEGAR = true
-	r, err := Synthesize(f, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("clpl_00 cegar: %v size=%d lb=%d nub=%d lm=%d elapsed=%v",
-		r.Grid, r.Size, r.LB, r.NUB, r.LMSolved, r.Elapsed)
-}

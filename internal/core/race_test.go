@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/lattice-tools/janus/internal/benchdata"
-	"github.com/lattice-tools/janus/internal/encode"
 	"github.com/lattice-tools/janus/internal/memo"
 )
 
@@ -19,9 +18,9 @@ import (
 func TestSynthesizeConcurrentMemo(t *testing.T) {
 	memo.Reset()
 	// Both instances need real LM solves (bounds alone don't close them),
-	// so the CEGAR engine and the shared caches are genuinely exercised.
+	// so the pool and the shared caches are genuinely exercised.
 	names := []string{"misex1_04", "mp2d_06"}
-	opt := Options{Workers: 4, Encode: encode.Options{CEGAR: true}}
+	opt := Options{Workers: 4}
 
 	var wg sync.WaitGroup
 	results := make([]Result, len(names))

@@ -17,14 +17,13 @@ func fig1() cube.Cover {
 }
 
 // TestTraceCegarHierarchy pins the span taxonomy: one traced Synthesize
-// with the CEGAR engine must emit the documented hierarchy
+// on the CEGAR pool engine must emit the documented hierarchy
 // Synthesize → Search → DichotomicStep → Candidate → CegarIter → SatSolve
 // with the phase spans under the root, and the solver attributes on the
 // SatSolve spans must be populated.
 func TestTraceCegarHierarchy(t *testing.T) {
 	var buf bytes.Buffer
 	opt := Options{Tracer: obsv.NewTracer(&buf)}
-	opt.Encode.CEGAR = true
 	if _, err := Synthesize(fig1(), opt); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,6 @@ func TestTraceMetricsMonotoneCegar(t *testing.T) {
 
 	var buf bytes.Buffer
 	opt := Options{Tracer: obsv.NewTracer(&buf)}
-	opt.Encode.CEGAR = true
 	if _, err := Synthesize(fig1(), opt); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +180,6 @@ func TestTraceMetricsMonotoneCegar(t *testing.T) {
 func TestTraceConcurrentWorkers(t *testing.T) {
 	var buf bytes.Buffer
 	opt := Options{Tracer: obsv.NewTracer(&buf), Workers: 4}
-	opt.Encode.CEGAR = true
 	if _, err := Synthesize(fig1(), opt); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +214,6 @@ func TestTraceCtxCarried(t *testing.T) {
 			obsv.ContextWithTracer(context.Background(), tracer), job), "r-ctx-1")
 
 	opt := Options{Ctx: ctx}
-	opt.Encode.CEGAR = true
 	res, err := Synthesize(fig1(), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,15 @@
 package encode
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"github.com/lattice-tools/janus/internal/benchdata"
 	"github.com/lattice-tools/janus/internal/lattice"
 	"github.com/lattice-tools/janus/internal/memo"
 	"github.com/lattice-tools/janus/internal/minimize"
+	"github.com/lattice-tools/janus/internal/obsv"
 	"github.com/lattice-tools/janus/internal/sat"
 	"github.com/lattice-tools/janus/internal/truth"
 )
@@ -75,27 +78,43 @@ func TestCegarTablesBuiltOnce(t *testing.T) {
 // TestCegarConflictBudgetPerCall pins the budget semantics of the
 // persistent solver: MaxConflicts bounds each refinement's SAT call, not
 // the cumulative conflicts of the whole loop, so a multi-iteration
-// instance must still converge under a budget smaller than its total
-// conflict count.
+// instance must still converge under a budget one above its hungriest
+// call (a call stops when it reaches the budget) but below its total
+// conflict count. The per-call counts come from the SatSolve spans of a
+// traced unbudgeted run.
 func TestCegarConflictBudgetPerCall(t *testing.T) {
 	f, _ := benchdata.Lookup("dc1_02").Function()
 	isop, dual := minimize.AutoDual(f)
 	g := lattice.Grid{M: 4, N: 3}
-	full, err := SolveLMCegar(isop, dual, g, Options{})
+	var buf bytes.Buffer
+	root := obsv.Start(obsv.NewTracer(&buf), nil, "Test")
+	full, err := SolveLMCegar(isop, dual, g, Options{Span: root})
+	root.End()
 	if err != nil || full.Status != sat.Sat {
 		t.Fatalf("unbudgeted run: %v %v", full.Status, err)
 	}
-	if full.SolverStat.Conflicts < 10 {
-		t.Skip("instance too easy to exercise the budget")
+	var calls, hungriest int64
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var rec obsv.Record
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Span == "SatSolve" {
+			calls++
+			hungriest = max(hungriest, int64(rec.Attrs["conflicts"].(float64)))
+		}
 	}
-	// A per-call budget of ~half the total conflicts must still succeed;
-	// a cumulative interpretation would return Unknown.
-	budget := full.SolverStat.Conflicts/2 + 5
-	r, err := SolveLMCegar(isop, dual, g, Options{Limits: sat.Limits{MaxConflicts: budget}})
+	if calls < 2 || hungriest+1 >= full.SolverStat.Conflicts {
+		t.Skip("no call-by-call budget fits below the total on this instance")
+	}
+	// A cumulative interpretation would stop this run with Unknown.
+	r, err := SolveLMCegar(isop, dual, g, Options{Limits: sat.Limits{MaxConflicts: hungriest + 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != sat.Sat {
-		t.Fatalf("per-call budget %d: status %v, want SAT", budget, r.Status)
+		t.Fatalf("per-call budget %d (total %d over %d calls): status %v, want SAT",
+			hungriest+1, full.SolverStat.Conflicts, calls, r.Status)
 	}
 }

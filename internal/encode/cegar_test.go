@@ -3,6 +3,7 @@ package encode
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/lattice-tools/janus/internal/cube"
 	"github.com/lattice-tools/janus/internal/lattice"
@@ -62,17 +63,6 @@ func TestCegarFig1(t *testing.T) {
 	}
 }
 
-func TestCegarViaOptionsFlag(t *testing.T) {
-	f, d := isopPair(fig1())
-	r, err := SolveLM(f, d, lattice.Grid{M: 4, N: 2}, Options{CEGAR: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != sat.Sat {
-		t.Fatalf("status = %v", r.Status)
-	}
-}
-
 // TestCegarLazyEntryCount documents the engine's point: the number of
 // constrained entries (visible through the variable count) stays far
 // below the monolithic encoding's.
@@ -107,5 +97,26 @@ func TestCegarConstants(t *testing.T) {
 	}
 	if r.Status != sat.Sat || !r.Assignment.Realizes(cube.Zero(2)) {
 		t.Fatal("constant-0 CEGAR mapping wrong")
+	}
+}
+
+// TestCegarHonorsInterrupt: a caller-supplied interrupt must stop the
+// refinement loop promptly with an Unknown verdict.
+func TestCegarHonorsInterrupt(t *testing.T) {
+	f, d := isopPair(fig1())
+	stop := make(chan struct{})
+	close(stop)
+	opt := Options{}
+	opt.Limits.Interrupt = stop
+	start := time.Now()
+	r, err := SolveLMCegar(f, d, lattice.Grid{M: 4, N: 2}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != sat.Unknown {
+		t.Fatalf("status = %v, want Unknown under pre-closed interrupt", r.Status)
+	}
+	if e := time.Since(start); e > 5*time.Second {
+		t.Fatalf("interrupted solve took %v", e)
 	}
 }

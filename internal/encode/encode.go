@@ -14,6 +14,13 @@
 // variables × clauses complexity is handed to the SAT solver. A model of
 // the dual problem converts to a primal lattice implementation by swapping
 // the constants 0 and 1.
+//
+// One clause generator (gridEnc) writes every formulation into a sink.
+// SolveLM and BuildCNF give it a cnf.Builder and constrain all 2^N
+// entries up front: the paper's monolithic formulation. SolveLMCegar gives
+// it a SharedPool grid skeleton and adds entries lazily, one
+// counterexample at a time, on one persistent assumption-based solver per
+// (cover, orientation); that is the engine the synthesis search runs.
 package encode
 
 import (
@@ -67,44 +74,31 @@ type Options struct {
 	// whose cells carry only that product's literals (plus constant 1) —
 	// the restriction the approximate method of Gange et al. imposes.
 	StrictProducts bool
-	// CEGAR switches SolveLM to the counterexample-guided engine, which
-	// materializes truth-table entries lazily (see SolveLMCegar).
-	CEGAR bool
-	// Portfolio races the primal and dual CEGAR orientations of a
-	// candidate concurrently and cancels the loser as soon as either
-	// finds a satisfying assignment (a per-orientation refutation is not
-	// definitive — the heuristic degree constraints are approximate — so
-	// non-Sat verdicts wait for both sides, exactly like the sequential
-	// order does). Implies the CEGAR engine. The ROADMAP calls this
-	// portfolio solving; it replaces the sequential sparser-first order
-	// when the sparser orientation is the slower one.
-	Portfolio bool
-	// Shared, when non-nil, makes the CEGAR engine solve every candidate
-	// grid on one persistent assumption-based solver per (cover,
-	// orientation) drawn from this pool, instead of a fresh solver per
-	// candidate: skeletons are guarded by activation literals, entry
-	// clauses are stamped from path templates, and counterexample entries
-	// transfer between candidates (see SharedPool). Implies CEGAR; ignored
-	// under Portfolio, whose two racing goroutines need independent
-	// solvers.
+	// Shared is the pool SolveLMCegar solves on: one persistent
+	// assumption-based solver per (cover, orientation), shared by every
+	// candidate grid the caller probes. Skeletons are guarded by
+	// activation literals and counterexample entries transfer between
+	// candidates (see SharedPool). Nil gives each SolveLMCegar call a pool
+	// of its own, which then holds one grid. SolveLM and BuildCNF ignore
+	// it.
 	Shared *SharedPool
 	// CEXTransferLimit caps how many already-known counterexample entries
-	// the shared engine transfers into a grid skeleton per solve, most
+	// the pool transfers into a grid skeleton per solve, most
 	// recent first; older entries are dropped and rediscovered on demand.
 	// The filter is speed-only: a skeleton holding fewer entries is a
 	// coarser relaxation of the same LM problem, so Unsat stays definitive
 	// and Sat is still verified by simulation — answers never change, only
 	// how much stale clause freight a shallow candidate pays for. Zero
 	// means DefaultCEXTransferLimit; negative disables the filter
-	// (transfer everything). Ignored without Shared.
+	// (transfer everything). SolveLM and BuildCNF ignore it.
 	CEXTransferLimit int
 	// SharedLearntLBD and SharedLearntSize gate the learnt clauses a
-	// shared engine keeps when it switches to a different candidate grid:
+	// pool engine keeps when it switches to a different candidate grid:
 	// learnts with LBD above SharedLearntLBD or more than SharedLearntSize
 	// literals are pruned (sat.Solver.PruneLearnts), shedding watch-list
 	// freight that mostly mentions the previous grid's activation literal.
 	// Zero means the defaults; negative keeps every learnt clause.
-	// Ignored without Shared.
+	// SolveLM and BuildCNF ignore them.
 	SharedLearntLBD  int
 	SharedLearntSize int
 	// Limits bounds each SAT call.
@@ -122,7 +116,7 @@ func (o Options) longThreshold() int {
 	return o.LongProductThreshold
 }
 
-// Defaults of the shared engine's clause-quality filter. The transfer
+// Defaults of the pool's clause-quality filter. The transfer
 // limit keeps roughly the CEGAR working set of one candidate (a few dozen
 // entries converge on the paper's instances); the learnt gates mirror the
 // "keep the good half" spirit of the solver's own reduceDB but act at
@@ -174,30 +168,24 @@ type Result struct {
 	Structural bool // true when the structural check already refuted
 
 	// CegarIters counts CEGAR refinement iterations (SAT calls); zero for
-	// the monolithic engine.
+	// the monolithic formulation.
 	CegarIters int
-	// AddedClauses counts the clauses actually handed to SAT solvers over
-	// the whole solve. For the incremental CEGAR engine each clause is
-	// added once to one persistent solver, so this stays close to Clauses;
-	// a rebuild-per-iteration engine would re-add the whole formula every
-	// round (see RebuiltClauses).
+	// AddedClauses counts the clauses this solve handed to the SAT solver.
+	// For the pool that is the probed grid's skeleton on first use, the
+	// counterexample entries transferred into it, and the entries its own
+	// refinement discovered; every clause enters the persistent solver
+	// once. For the monolithic formulation it equals Clauses.
 	AddedClauses int
 	// RebuiltClauses is the clause volume a rebuild-per-iteration CEGAR
-	// engine would have added: the sum over iterations of the formula size
-	// at that iteration. AddedClauses/RebuiltClauses is the incremental
-	// saving; the two are equal for single-iteration and monolithic
-	// solves.
+	// engine would have added: the sum over iterations of the grid's
+	// formula size at that iteration. AddedClauses/RebuiltClauses is the
+	// incremental saving; the two are equal for monolithic solves.
 	RebuiltClauses int
 
-	// ReusedSolvers is 1 when the shared engine answered this candidate
-	// from a skeleton stamped by an earlier solve (Options.Shared only).
+	// ReusedSolvers is 1 when the pool answered this candidate on a grid
+	// skeleton an earlier solve had already written.
 	ReusedSolvers int
-	// StampedClauses counts the clauses stamped into the shared solver
-	// during this solve: skeleton (first activation only), transferred
-	// counterexample entries, and entries this solve's refinement
-	// discovered. Equals AddedClauses under Options.Shared.
-	StampedClauses int
-	// TransferredCEXClauses is the portion of StampedClauses that encodes
+	// TransferredCEXClauses is the portion of AddedClauses that encodes
 	// counterexample entries discovered by *other* candidates — knowledge
 	// this solve got for free.
 	TransferredCEXClauses int
@@ -206,20 +194,12 @@ type Result struct {
 	// drop count next to TransferredCEXClauses' kept clauses); dropped
 	// entries are rediscovered by refinement if they matter.
 	TransferFiltered int
-	// PrunedLearnts counts the learnt clauses the shared engine pruned
-	// from its solver (LBD/size gate) when this solve switched it to a
-	// different candidate grid.
+	// PrunedLearnts counts the learnt clauses the pool pruned from its
+	// solver (LBD/size gate) when this solve switched it to a different
+	// candidate grid.
 	PrunedLearnts int
-	// CEXInputs are the inputs of the target (primal truth-table
-	// indexes) where this solve's candidate mappings mismatched during
-	// refinement. They are function-level knowledge, independent of grid
-	// and orientation, so a caller that later opens a shared pool for the
-	// same target can pre-load them (SharedPool.Warm) instead of paying
-	// to rediscover them. Only the fresh per-candidate engine reports
-	// them; pool-backed solves feed the pool directly.
-	CEXInputs []uint64
 	// AssumptionCoreSize is the size of the final-conflict assumption
-	// core of the last Unsat answer (Options.Shared only; zero otherwise).
+	// core of the last Unsat answer (zero for the monolithic formulation).
 	AssumptionCoreSize int
 }
 
@@ -296,334 +276,17 @@ func structuralHalf(target cube.Cover, g lattice.Grid, dual bool) bool {
 	return g.HasPathOfLen(target.Degree(), dual)
 }
 
-// problem carries one orientation of the LM encoding.
-type problem struct {
-	b       *cnf.Builder
-	g       lattice.Grid
-	tl      []targetLit
-	paths   []lattice.Path // memo-shared; read-only
-	mapVars [][]sat.Lit    // [cell][tlIdx]
-	dual    bool
-}
-
-// newProblem builds the entry-independent skeleton of the LM encoding:
-// mapping variables with exactly-one per cell, the degree and
-// strict-product constraints, and symmetry breaking. Truth-table entries
-// are constrained separately via addEntry, so the CEGAR engine can grow
-// the formula incrementally on one persistent solver.
-func newProblem(target cube.Cover, g lattice.Grid, dual bool, opt Options) *problem {
-	p := &problem{b: cnf.NewBuilder(), g: g, tl: buildTL(target, opt.FullTL), dual: dual}
-	p.paths = memo.Paths(g, dual)
-	cells := g.Cells()
-
-	// Mapping variables with exactly-one per cell.
-	p.mapVars = make([][]sat.Lit, cells)
-	for cell := 0; cell < cells; cell++ {
-		row := make([]sat.Lit, len(p.tl))
-		for j := range p.tl {
-			row[j] = p.b.NewVar(fmt.Sprintf("m_%d_%d", cell, j))
-		}
-		p.mapVars[cell] = row
-		p.b.ExactlyOne(row...)
-	}
-
-	if !opt.DisableDegree {
-		p.addDegreeConstraints(target, p.paths, opt)
-	}
-	if opt.StrictProducts {
-		p.addStrictProducts(target, p.paths)
-	}
-	if !opt.DisableSymmetry {
-		p.addSymmetryBreak()
-	}
-	return p
-}
-
-// addEntry constrains one truth-table point: per-entry switch-state
-// variables linked to the mapping choice, then the off-entry path clauses
-// (Fig. 3(a)) or the on-entry path disjunction plus connectivity facts
-// (Fig. 3(b)).
-func (p *problem) addEntry(t uint64, val bool, opt Options) {
-	cells := p.g.Cells()
-	// Per-entry switch-state variables Y[cell].
-	y := make([]sat.Lit, cells)
-	for cell := 0; cell < cells; cell++ {
-		y[cell] = p.b.NewVar(fmt.Sprintf("y_%d_%d", cell, t))
-	}
-	// Link mapping choices to switch states.
-	for cell := 0; cell < cells; cell++ {
-		for j, tl := range p.tl {
-			if tl.Eval(t) {
-				p.b.AddImply(p.mapVars[cell][j], y[cell])
-			} else {
-				p.b.AddImply(p.mapVars[cell][j], y[cell].Not())
-			}
-		}
-	}
-	if !val {
-		// Every path must contain an off switch (Fig. 3(a)).
-		for _, path := range p.paths {
-			clause := make([]sat.Lit, len(path.Cells))
-			for i, cell := range path.Cells {
-				clause[i] = y[cell].Not()
-			}
-			p.b.Add(clause...)
-		}
-		return
-	}
-	// On entry (Fig. 3(b)): some path fully on.
-	or := make([]sat.Lit, len(p.paths))
-	for pi, path := range p.paths {
-		a := p.b.NewVar(fmt.Sprintf("a_%d_%d", pi, t))
-		for _, cell := range path.Cells {
-			p.b.AddImply(a, y[cell])
-		}
-		or[pi] = a
-	}
-	p.b.Add(or...)
-	if !opt.DisableFacts {
-		p.addFacts(y, t)
-	}
-}
-
-// build constructs the CNF for realizing target on the grid's primal
-// (dual=false) or dual (dual=true) path structure. entries selects the
-// truth-table points to constrain; nil means all 2^N of them (the
-// monolithic formulation).
-func build(target cube.Cover, g lattice.Grid, dual bool, opt Options, entries []uint64) *problem {
-	p := newProblem(target, g, dual, opt)
+// build writes the monolithic formulation of realizing target on the
+// grid's primal (dual=false) or dual (dual=true) path structure: the
+// skeleton plus all 2^N truth-table entries.
+func build(target cube.Cover, g lattice.Grid, dual bool, opt Options) (*cnf.Builder, *gridEnc) {
+	b := cnf.NewBuilder()
+	e := newGridEnc(builderSink{b}, target, g, dual, buildTL(target, opt.FullTL), opt)
 	tab := memo.TableOf(target)
-	if entries == nil {
-		entries = make([]uint64, tab.Size())
-		for t := range entries {
-			entries[t] = uint64(t)
-		}
+	for t := uint64(0); t < tab.Size(); t++ {
+		e.entry(t, tab.Get(t), opt)
 	}
-	for _, t := range entries {
-		p.addEntry(t, tab.Get(t), opt)
-	}
-	return p
-}
-
-// addSymmetryBreak prunes the row-mirror and column-mirror symmetries of
-// the lattice. Both mirrors preserve the top–bottom (and left–right)
-// connectivity function, so for any solution the orbit of four mirrored
-// solutions contains one whose top-left corner choice index is minimal
-// among the four corners; demanding choice(0,0) ≤ choice(0,N−1) and
-// choice(0,0) ≤ choice(M−1,0) keeps exactly such representatives.
-func (p *problem) addSymmetryBreak() {
-	g := p.g
-	c00 := g.Cell(0, 0)
-	if g.N > 1 {
-		p.addChoiceLE(c00, g.Cell(0, g.N-1))
-	}
-	if g.M > 1 {
-		p.addChoiceLE(c00, g.Cell(g.M-1, 0))
-	}
-}
-
-// addChoiceLE forbids choice(a) > choice(b) over the one-hot mapping
-// variables: for every j > k, not (X[a][j] and X[b][k]).
-func (p *problem) addChoiceLE(a, b int) {
-	for j := 1; j < len(p.tl); j++ {
-		for k := 0; k < j; k++ {
-			p.b.Add(p.mapVars[a][j].Not(), p.mapVars[b][k].Not())
-		}
-	}
-}
-
-// addStrictProducts is the Gange-style approximate restriction: every
-// target product must be realized by some sufficiently long path whose
-// cells carry only the product's literals or constant 1.
-func (p *problem) addStrictProducts(target cube.Cover, paths []lattice.Path) {
-	for qi, q := range target.Cubes {
-		var choices []int
-		for j, tl := range p.tl {
-			switch tl.Kind {
-			case lattice.Const1:
-				choices = append(choices, j)
-			case lattice.PosVar:
-				if q.HasPos(tl.Var) {
-					choices = append(choices, j)
-				}
-			case lattice.NegVar:
-				if q.HasNeg(tl.Var) {
-					choices = append(choices, j)
-				}
-			}
-		}
-		var or []sat.Lit
-		for pi, path := range paths {
-			if path.Len() < q.NumLiterals() {
-				continue
-			}
-			z := p.b.NewVar(fmt.Sprintf("zs_%d_%d", qi, pi))
-			for _, cell := range path.Cells {
-				clause := make([]sat.Lit, 0, len(choices)+1)
-				clause = append(clause, z.Not())
-				for _, j := range choices {
-					clause = append(clause, p.mapVars[cell][j])
-				}
-				p.b.Add(clause...)
-			}
-			or = append(or, z)
-		}
-		if len(or) == 0 {
-			// No path can host this product: force unsatisfiability.
-			p.b.Add()
-			return
-		}
-		p.b.Add(or...)
-	}
-}
-
-// addFacts adds the paper's two structural facts for an on entry: (i)
-// every rank (row for the primal orientation, column for the dual) holds
-// an on switch; (ii) every two consecutive ranks share an on pair in
-// adjacent positions (same column for 4-connectivity; row distance ≤ 1
-// for 8-connectivity).
-func (p *problem) addFacts(y []sat.Lit, t uint64) {
-	g := p.g
-	ranks, perRank := g.M, g.N
-	rankCell := func(rank, i int) int { return g.Cell(rank, i) }
-	if p.dual {
-		ranks, perRank = g.N, g.M
-		rankCell = func(rank, i int) int { return g.Cell(i, rank) }
-	}
-	// (i) at least one on switch per rank.
-	for r := 0; r < ranks; r++ {
-		clause := make([]sat.Lit, perRank)
-		for i := 0; i < perRank; i++ {
-			clause[i] = y[rankCell(r, i)]
-		}
-		p.b.Add(clause...)
-	}
-	// (ii) consecutive ranks share an adjacent on pair.
-	for r := 0; r+1 < ranks; r++ {
-		var or []sat.Lit
-		for i := 0; i < perRank; i++ {
-			jLo, jHi := i, i
-			if p.dual { // 8-connectivity allows diagonal crossings
-				jLo, jHi = i-1, i+1
-			}
-			for j := jLo; j <= jHi; j++ {
-				if j < 0 || j >= perRank {
-					continue
-				}
-				pair := p.b.NewVar(fmt.Sprintf("b_%d_%d_%d_%d", r, i, j, t))
-				p.b.AddImply(pair, y[rankCell(r, i)])
-				p.b.AddImply(pair, y[rankCell(r+1, j)])
-				or = append(or, pair)
-			}
-		}
-		p.b.Add(or...)
-	}
-}
-
-// addDegreeConstraints adds the paper's third encoding step: when the
-// target degree equals the lattice degree, each maximum-degree product
-// must be realized by a maximum-length path whose cells map into the
-// product's literals; products longer than the threshold must use an
-// equally long path (cells may also map to constant 1).
-func (p *problem) addDegreeConstraints(target cube.Cover, paths []lattice.Path, opt Options) {
-	maxPath := 0
-	for _, path := range paths {
-		if path.Len() > maxPath {
-			maxPath = path.Len()
-		}
-	}
-	delta := target.Degree()
-	long := opt.longThreshold()
-
-	// Indexes into the TL set for a given cube's literals (plus const 1).
-	litChoices := func(c cube.Cube, allowOne bool) []int {
-		var idx []int
-		for j, tl := range p.tl {
-			switch tl.Kind {
-			case lattice.Const1:
-				if allowOne {
-					idx = append(idx, j)
-				}
-			case lattice.PosVar:
-				if c.HasPos(tl.Var) {
-					idx = append(idx, j)
-				}
-			case lattice.NegVar:
-				if c.HasNeg(tl.Var) {
-					idx = append(idx, j)
-				}
-			}
-		}
-		return idx
-	}
-
-	addRealization := func(q cube.Cube, candidates []lattice.Path, allowOne bool, tag string) {
-		if len(candidates) == 0 {
-			return
-		}
-		choices := litChoices(q, allowOne)
-		var or []sat.Lit
-		for pi, path := range candidates {
-			z := p.b.NewVar(fmt.Sprintf("%s_%d", tag, pi))
-			for _, cell := range path.Cells {
-				clause := make([]sat.Lit, 0, len(choices)+1)
-				clause = append(clause, z.Not())
-				for _, j := range choices {
-					clause = append(clause, p.mapVars[cell][j])
-				}
-				p.b.Add(clause...)
-			}
-			or = append(or, z)
-		}
-		p.b.Add(or...)
-	}
-
-	for qi, q := range target.Cubes {
-		nl := q.NumLiterals()
-		if nl == delta && delta == maxPath {
-			var cands []lattice.Path
-			for _, path := range paths {
-				if path.Len() == delta {
-					cands = append(cands, path)
-				}
-			}
-			addRealization(q, cands, false, fmt.Sprintf("zdeg_%d", qi))
-		} else if nl > long {
-			var cands []lattice.Path
-			for _, path := range paths {
-				if path.Len() >= nl {
-					cands = append(cands, path)
-				}
-			}
-			addRealization(q, cands, true, fmt.Sprintf("zlong_%d", qi))
-		}
-	}
-}
-
-// decode extracts the lattice assignment from a SAT model. For the dual
-// formulation the constants 0 and 1 are swapped, which by the duality
-// theorem turns a realization of f^D on the left–right structure into a
-// realization of f on the top–bottom structure.
-func (p *problem) decode(s *sat.Solver) *lattice.Assignment {
-	a := lattice.NewAssignment(p.g)
-	for cell := range p.mapVars {
-		for j, mv := range p.mapVars[cell] {
-			if s.Model(mv.Var()) {
-				e := p.tl[j]
-				if p.dual {
-					switch e.Kind {
-					case lattice.Const0:
-						e = targetLit{Kind: lattice.Const1}
-					case lattice.Const1:
-						e = targetLit{Kind: lattice.Const0}
-					}
-				}
-				a.Entries[cell] = e
-				break
-			}
-		}
-	}
-	return a
+	return b, e
 }
 
 // BuildCNF constructs the LM formulation the solver would run (choosing
@@ -652,22 +315,21 @@ func BuildCNF(target, targetDual cube.Cover, g lattice.Grid, opt Options) (*cnf.
 		return nil, useDual, errors.New("encode: formulation too large to materialize")
 	}
 	if useDual {
-		return build(targetDual, g, true, opt, nil).b, true, nil
+		b, _ := build(targetDual, g, true, opt)
+		return b, true, nil
 	}
-	return build(target, g, false, opt, nil).b, false, nil
+	b, _ := build(target, g, false, opt)
+	return b, false, nil
 }
 
 // SolveLM decides whether target (with precomputed dual targetDual, both
 // in ISOP form over the same variables) can be realized on the grid, and
-// returns a verified lattice assignment when it can.
+// returns a verified lattice assignment when it can. It solves the
+// paper's monolithic formulation, every truth-table entry up front, on a
+// fresh solver; the search runs SolveLMCegar instead.
 func SolveLM(target, targetDual cube.Cover, g lattice.Grid, opt Options) (Result, error) {
 	if target.N > MaxInputs {
 		return Result{}, ErrTooManyInputs
-	}
-	if opt.CEGAR || opt.Portfolio || opt.Shared != nil {
-		sub := opt
-		sub.CEGAR = false
-		return SolveLMCegar(target, targetDual, g, sub)
 	}
 	// Trivial constants.
 	if target.IsZero() || target.IsOne() {
@@ -734,28 +396,28 @@ func SolveLM(target, targetDual cube.Cover, g lattice.Grid, opt Options) (Result
 	}
 
 	var res Result
-	var chosen *problem
+	var chosen *gridEnc
 	var s *sat.Solver
 	sawUnknown := oversized
 	for _, a := range attempts {
 		s = nil // release the previous attempt's solver before building
-		p := build(a.cover, g, a.dual, opt, nil)
-		s = p.b.SolverFrom()
-		p.b.ReleaseClauses() // the solver holds its own copy now
+		b, e := build(a.cover, g, a.dual, opt)
+		s = b.SolverFrom()
+		b.ReleaseClauses() // the solver holds its own copy now
 		cand, setSpan := startCandidate(opt.Span, g, a.dual, "monolithic", s)
 		solveSpan := cand.Child("SatSolve")
 		setSpan(solveSpan)
 		st := s.Solve(opt.Limits)
 		solveSpan.End()
-		chosen = p
+		chosen = e
 		res = Result{
 			Status:         st,
-			UsedDual:       p.dual,
-			Vars:           p.b.NumVars(),
-			Clauses:        p.b.NumClauses(),
+			UsedDual:       a.dual,
+			Vars:           b.NumVars(),
+			Clauses:        b.NumClauses(),
 			SolverStat:     s.Stats(),
-			AddedClauses:   p.b.NumClauses(),
-			RebuiltClauses: p.b.NumClauses(),
+			AddedClauses:   b.NumClauses(),
+			RebuiltClauses: b.NumClauses(),
 		}
 		mClausesAdded.Add(int64(res.AddedClauses))
 		mClausesRebld.Add(int64(res.RebuiltClauses))

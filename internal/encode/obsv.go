@@ -21,36 +21,29 @@ var (
 	mCegarEntries = obsv.Default.Counter("janus_encode_cegar_entries_total")
 	mClausesAdded = obsv.Default.Counter("janus_encode_clauses_added_total")
 	mClausesRebld = obsv.Default.Counter("janus_encode_clauses_rebuilt_total")
-	// Shared assumption-based engine (Options.Shared): candidates answered
-	// on a reused skeleton, clauses stamped directly into the shared
-	// solver, counterexample-entry clauses transferred between candidates,
-	// and the final-conflict assumption core sizes of Unsat answers.
+	// Shared assumption pool (SolveLMCegar): candidates answered on a
+	// reused skeleton, counterexample-entry clauses transferred between
+	// candidates, and the final-conflict assumption core sizes of Unsat
+	// answers.
 	mSharedReused   = obsv.Default.Counter("janus_encode_shared_reused_solvers_total")
-	mSharedStamped  = obsv.Default.Counter("janus_encode_shared_stamped_clauses_total")
 	mSharedTransfer = obsv.Default.Counter("janus_encode_shared_transferred_cex_clauses_total")
 	// Clause-quality filter: counterexample entries the transfer cap
 	// declined to stamp, and learnt clauses pruned on grid switches.
 	mSharedFiltered = obsv.Default.Counter("janus_encode_shared_transfer_filtered_total")
 	mSharedPruned   = obsv.Default.Counter("janus_encode_shared_learnts_pruned_total")
 	hAssumeCore     = obsv.Default.Histogram("janus_encode_assumption_core_size")
-	// Portfolio racing (Options.Portfolio): races run, wins by
-	// orientation, and losers cancelled through the interrupt channel.
-	mPortfolioRaces      = obsv.Default.Counter("janus_encode_portfolio_races_total")
-	mPortfolioPrimalWins = obsv.Default.Counter("janus_encode_portfolio_primal_wins_total")
-	mPortfolioDualWins   = obsv.Default.Counter("janus_encode_portfolio_dual_wins_total")
-	mPortfolioCancels    = obsv.Default.Counter("janus_encode_portfolio_cancels_total")
-	mSolves              = obsv.Default.Counter("janus_sat_solves_total")
-	mSolveNS             = obsv.Default.Counter("janus_sat_solve_ns_total")
-	mConflicts           = obsv.Default.Counter("janus_sat_conflicts_total")
-	mDecisions           = obsv.Default.Counter("janus_sat_decisions_total")
-	mPropagations        = obsv.Default.Counter("janus_sat_propagations_total")
-	mRestarts            = obsv.Default.Counter("janus_sat_restarts_total")
-	mLearnts             = obsv.Default.Counter("janus_sat_learnts_total")
-	mRemoved             = obsv.Default.Counter("janus_sat_removed_total")
-	mReductions          = obsv.Default.Counter("janus_sat_db_reductions_total")
-	mLearntDBGauge       = obsv.Default.Gauge("janus_sat_learnt_db_size")
-	hLBD                 = obsv.Default.Histogram("janus_sat_lbd")
-	hConflicts           = obsv.Default.Histogram("janus_sat_conflicts_per_solve")
+	mSolves         = obsv.Default.Counter("janus_sat_solves_total")
+	mSolveNS        = obsv.Default.Counter("janus_sat_solve_ns_total")
+	mConflicts      = obsv.Default.Counter("janus_sat_conflicts_total")
+	mDecisions      = obsv.Default.Counter("janus_sat_decisions_total")
+	mPropagations   = obsv.Default.Counter("janus_sat_propagations_total")
+	mRestarts       = obsv.Default.Counter("janus_sat_restarts_total")
+	mLearnts        = obsv.Default.Counter("janus_sat_learnts_total")
+	mRemoved        = obsv.Default.Counter("janus_sat_removed_total")
+	mReductions     = obsv.Default.Counter("janus_sat_db_reductions_total")
+	mLearntDBGauge  = obsv.Default.Gauge("janus_sat_learnt_db_size")
+	hLBD            = obsv.Default.Histogram("janus_sat_lbd")
+	hConflicts      = obsv.Default.Histogram("janus_sat_conflicts_per_solve")
 )
 
 // startCandidate opens the Candidate(m×n,orient) span for one LM attempt

@@ -22,13 +22,15 @@ import (
 // is true (and every other grid's is false). Clauses learnt while probing
 // one candidate mention the activation literals explicitly, so they stay
 // globally sound and keep pruning the next candidate; CEGAR
-// counterexample entries are grid-independent knowledge and are stamped
+// counterexample entries are grid-independent knowledge and are written
 // into every skeleton, so a truth-table point one candidate stumbled over
 // never has to be rediscovered by another.
 //
 // A pool is safe for concurrent use; candidates that share an engine
 // serialize on it (distinct orientations — and distinct covers, as in the
-// DS sub-syntheses — still run in parallel).
+// DS sub-syntheses — still run in parallel). Candidates also share the
+// engine's learnt clauses, so under a conflict budget the answers depend
+// on the order concurrent candidates reach it.
 type SharedPool struct {
 	mu      sync.Mutex
 	engines map[poolKey]*sharedEngine
@@ -43,7 +45,7 @@ func NewSharedPool() *SharedPool {
 }
 
 // poolKey identifies one engine: the encoded cover, the orientation, and
-// the option fields that change the stamped formula.
+// the option fields that change the generated formula.
 type poolKey struct {
 	cover     string
 	dual      bool
@@ -87,8 +89,8 @@ func (p *SharedPool) engine(enc cube.Cover, dual bool, opt Options) *sharedEngin
 		grids:  make(map[lattice.Grid]*gridSkeleton),
 	}
 	// Seed the shared entry set with one on- and one off-entry of the
-	// encoded function, exactly like the per-candidate engine: every
-	// skeleton will be stamped with them before its first solve.
+	// encoded function, which give the abstraction immediate traction:
+	// every skeleton receives them before its first solve.
 	var sawOn, sawOff bool
 	for t := uint64(0); t < e.encTab.Size() && (!sawOn || !sawOff); t++ {
 		if v := e.encTab.Get(t); v && !sawOn {
@@ -126,14 +128,34 @@ type sharedEngine struct {
 	haveLast bool
 }
 
-// gridSkeleton is one grid's slice of the shared formula.
+// gridSkeleton is one grid's slice of the shared formula. It is the sink
+// the generator writes that grid into: straight into the engine's solver,
+// with the grid's activation literal guarding every forcing clause.
 type gridSkeleton struct {
-	g       lattice.Grid
-	act     sat.Lit        // activation literal guarding the skeleton
-	mapVars [][]sat.Lit    // [cell][tlIdx]
-	paths   []lattice.Path // memo-shared; read-only
+	enc     *gridEnc
+	s       *sat.Solver
+	act     sat.Lit // activation literal guarding the skeleton
 	entries map[uint64]bool
-	clauses int // clauses belonging to this grid, guards included
+	clauses int       // clauses belonging to this grid, guards included
+	guard   []sat.Lit // scratch for guarded clauses
+}
+
+func (sk *gridSkeleton) newVar() sat.Lit { return sat.MkLit(sk.s.AddVar(), false) }
+
+func (sk *gridSkeleton) add(lits ...sat.Lit) {
+	sk.s.AddClause(lits...)
+	sk.clauses++
+}
+
+// force adds (¬act ∨ C). Only clauses that force something positive about
+// the grid need the guard: every other clause of a skeleton is satisfied
+// by the all-false assignment of its own variables, so it can stay
+// unguarded (cheaper to propagate, and binary clauses stay binary). That
+// is what lets an entry, once added, keep constraining its grid across
+// later activations, and lets entry knowledge transfer between grids.
+func (sk *gridSkeleton) force(lits ...sat.Lit) {
+	sk.guard = append(append(sk.guard[:0], sk.act.Not()), lits...)
+	sk.add(sk.guard...)
 }
 
 func (e *sharedEngine) noteEntry(t uint64) {
@@ -146,28 +168,7 @@ func (e *sharedEngine) noteEntry(t uint64) {
 	}
 }
 
-// lit allocates a fresh solver variable as a positive literal.
-func (e *sharedEngine) lit() sat.Lit { return sat.MkLit(e.s.AddVar(), false) }
-
-// stamp writes one clause straight into the shared solver — no Builder,
-// no debug names — and counts it against the skeleton.
-func (e *sharedEngine) stamp(sk *gridSkeleton, lits ...sat.Lit) {
-	e.s.AddClause(lits...)
-	sk.clauses++
-}
-
-// guarded stamps (¬act ∨ C). Only clauses that force something positive
-// about the grid need the guard: every other clause of a skeleton is
-// satisfied by the all-false assignment of its own variables, so it can
-// stay unguarded (cheaper to propagate, and binary clauses stay binary).
-func (e *sharedEngine) guarded(sk *gridSkeleton, lits ...sat.Lit) {
-	cls := make([]sat.Lit, 0, len(lits)+1)
-	cls = append(cls, sk.act.Not())
-	cls = append(cls, lits...)
-	e.stamp(sk, cls...)
-}
-
-// skeleton returns the grid's slice of the formula, stamping it on first
+// skeleton returns the grid's slice of the formula, writing it on first
 // use, and brings its entry set up to date with the shared knowledge —
 // bounded by the transfer quality filter: at most limit of the missing
 // entries transfer in, most recent first (the search frontier's
@@ -180,7 +181,9 @@ func (e *sharedEngine) guarded(sk *gridSkeleton, lits ...sat.Lit) {
 func (e *sharedEngine) skeleton(g lattice.Grid, limit int) (sk *gridSkeleton, reused bool, transferred, filtered int) {
 	sk, reused = e.grids[g]
 	if !reused {
-		sk = e.newSkeleton(g)
+		sk = &gridSkeleton{s: e.s, entries: make(map[uint64]bool)}
+		sk.act = sk.newVar()
+		sk.enc = newGridEnc(sk, e.enc, g, e.dual, e.tl, e.opt)
 		e.grids[g] = sk
 	}
 	before := sk.clauses
@@ -196,282 +199,17 @@ func (e *sharedEngine) skeleton(g lattice.Grid, limit int) (sk *gridSkeleton, re
 		filtered = len(missing) - limit
 	}
 	for _, t := range keep {
-		e.stampEntry(sk, t)
+		e.addEntry(sk, t)
 	}
 	return sk, reused, sk.clauses - before, filtered
 }
 
-// newSkeleton stamps the entry-independent part of one grid's encoding:
-// mapping variables with a guarded at-least-one (the at-most-one pairs
-// are self-satisfiable and stay unguarded), the degree / strict-product
-// constraints with guarded ORs, and the unguarded symmetry break. This
-// mirrors newProblem exactly, modulo the activation guard.
-func (e *sharedEngine) newSkeleton(g lattice.Grid) *gridSkeleton {
-	sk := &gridSkeleton{g: g, entries: make(map[uint64]bool)}
-	sk.paths = memo.Paths(g, e.dual)
-	sk.act = e.lit()
-	cells := g.Cells()
-
-	sk.mapVars = make([][]sat.Lit, cells)
-	for cell := 0; cell < cells; cell++ {
-		row := make([]sat.Lit, len(e.tl))
-		for j := range row {
-			row[j] = e.lit()
-		}
-		sk.mapVars[cell] = row
-		e.guarded(sk, row...)
-		for i := 0; i < len(row); i++ {
-			for j := i + 1; j < len(row); j++ {
-				e.stamp(sk, row[i].Not(), row[j].Not())
-			}
-		}
-	}
-	if !e.opt.DisableDegree {
-		e.stampDegree(sk)
-	}
-	if e.opt.StrictProducts {
-		e.stampStrict(sk)
-	}
-	if !e.opt.DisableSymmetry {
-		e.stampSymmetry(sk)
-	}
-	return sk
-}
-
-// litChoices indexes the TL set entries a cube's literals allow.
-func (e *sharedEngine) litChoices(c cube.Cube, allowOne bool) []int {
-	var idx []int
-	for j, tl := range e.tl {
-		switch tl.Kind {
-		case lattice.Const1:
-			if allowOne {
-				idx = append(idx, j)
-			}
-		case lattice.PosVar:
-			if c.HasPos(tl.Var) {
-				idx = append(idx, j)
-			}
-		case lattice.NegVar:
-			if c.HasNeg(tl.Var) {
-				idx = append(idx, j)
-			}
-		}
-	}
-	return idx
-}
-
-// stampRealization is addRealization with the activation guard on the
-// positive OR(z): the z→mapping clauses are satisfied by all-false z.
-func (e *sharedEngine) stampRealization(sk *gridSkeleton, q cube.Cube, cands []lattice.Path, allowOne bool) {
-	if len(cands) == 0 {
-		return
-	}
-	choices := e.litChoices(q, allowOne)
-	or := make([]sat.Lit, 0, len(cands))
-	for _, path := range cands {
-		z := e.lit()
-		for _, cell := range path.Cells {
-			cls := make([]sat.Lit, 0, len(choices)+1)
-			cls = append(cls, z.Not())
-			for _, j := range choices {
-				cls = append(cls, sk.mapVars[cell][j])
-			}
-			e.stamp(sk, cls...)
-		}
-		or = append(or, z)
-	}
-	e.guarded(sk, or...)
-}
-
-func (e *sharedEngine) stampDegree(sk *gridSkeleton) {
-	maxPath := 0
-	for _, path := range sk.paths {
-		if path.Len() > maxPath {
-			maxPath = path.Len()
-		}
-	}
-	delta := e.enc.Degree()
-	long := e.opt.longThreshold()
-	for _, q := range e.enc.Cubes {
-		nl := q.NumLiterals()
-		if nl == delta && delta == maxPath {
-			var cands []lattice.Path
-			for _, path := range sk.paths {
-				if path.Len() == delta {
-					cands = append(cands, path)
-				}
-			}
-			e.stampRealization(sk, q, cands, false)
-		} else if nl > long {
-			var cands []lattice.Path
-			for _, path := range sk.paths {
-				if path.Len() >= nl {
-					cands = append(cands, path)
-				}
-			}
-			e.stampRealization(sk, q, cands, true)
-		}
-	}
-}
-
-func (e *sharedEngine) stampStrict(sk *gridSkeleton) {
-	for _, q := range e.enc.Cubes {
-		choices := e.litChoices(q, true)
-		or := make([]sat.Lit, 0, len(sk.paths))
-		for _, path := range sk.paths {
-			if path.Len() < q.NumLiterals() {
-				continue
-			}
-			z := e.lit()
-			for _, cell := range path.Cells {
-				cls := make([]sat.Lit, 0, len(choices)+1)
-				cls = append(cls, z.Not())
-				for _, j := range choices {
-					cls = append(cls, sk.mapVars[cell][j])
-				}
-				e.stamp(sk, cls...)
-			}
-			or = append(or, z)
-		}
-		if len(or) == 0 {
-			// No path can host this product. The monolithic encoder emits
-			// the empty clause here; in a shared solver that would poison
-			// every other grid, so force only this grid off instead.
-			e.guarded(sk)
-			return
-		}
-		e.guarded(sk, or...)
-	}
-}
-
-func (e *sharedEngine) stampSymmetry(sk *gridSkeleton) {
-	g := sk.g
-	choiceLE := func(a, b int) {
-		for j := 1; j < len(e.tl); j++ {
-			for k := 0; k < j; k++ {
-				e.stamp(sk, sk.mapVars[a][j].Not(), sk.mapVars[b][k].Not())
-			}
-		}
-	}
-	c00 := g.Cell(0, 0)
-	if g.N > 1 {
-		choiceLE(c00, g.Cell(0, g.N-1))
-	}
-	if g.M > 1 {
-		choiceLE(c00, g.Cell(g.M-1, 0))
-	}
-}
-
-// stampEntry writes the clauses of one truth-table entry for one grid
-// from the skeleton's path templates: per-cell Y variables linked to the
-// mapping choice, then the off-entry per-path clauses or the on-entry
-// path disjunction plus the connectivity facts. Everything here except
-// the positive ORs is satisfied by the all-false assignment, so only
-// those carry the activation guard — which is exactly what lets an
-// entry, once stamped, keep constraining the grid across later
-// activations and lets the entry knowledge transfer between candidates.
-func (e *sharedEngine) stampEntry(sk *gridSkeleton, t uint64) {
-	val := e.encTab.Get(t)
-	cells := sk.g.Cells()
-	yBase := e.s.NumVars()
-	e.s.EnsureVars(yBase + cells)
-	y := func(cell int) sat.Lit { return sat.MkLit(yBase+cell, false) }
-
-	for cell := 0; cell < cells; cell++ {
-		for j := range e.tl {
-			if e.tl[j].Eval(t) {
-				e.stamp(sk, sk.mapVars[cell][j].Not(), y(cell))
-			} else {
-				e.stamp(sk, sk.mapVars[cell][j].Not(), y(cell).Not())
-			}
-		}
-	}
-	if !val {
-		var buf []sat.Lit
-		for _, path := range sk.paths {
-			buf = buf[:0]
-			for _, cell := range path.Cells {
-				buf = append(buf, y(int(cell)).Not())
-			}
-			e.stamp(sk, buf...)
-		}
-	} else {
-		or := make([]sat.Lit, 0, len(sk.paths))
-		for _, path := range sk.paths {
-			a := e.lit()
-			for _, cell := range path.Cells {
-				e.stamp(sk, a.Not(), y(int(cell)))
-			}
-			or = append(or, a)
-		}
-		e.guarded(sk, or...)
-		if !e.opt.DisableFacts {
-			e.stampFacts(sk, y)
-		}
-	}
+// addEntry writes one truth-table entry of the encoded function into a
+// grid's skeleton.
+func (e *sharedEngine) addEntry(sk *gridSkeleton, t uint64) {
+	sk.enc.entry(t, e.encTab.Get(t), e.opt)
 	sk.entries[t] = true
-}
-
-// stampFacts mirrors addFacts: both structural facts are positive ORs, so
-// both take the guard; the pair implications stay unguarded.
-func (e *sharedEngine) stampFacts(sk *gridSkeleton, y func(int) sat.Lit) {
-	g := sk.g
-	ranks, perRank := g.M, g.N
-	rankCell := func(rank, i int) int { return g.Cell(rank, i) }
-	if e.dual {
-		ranks, perRank = g.N, g.M
-		rankCell = func(rank, i int) int { return g.Cell(i, rank) }
-	}
-	for r := 0; r < ranks; r++ {
-		cls := make([]sat.Lit, perRank)
-		for i := 0; i < perRank; i++ {
-			cls[i] = y(rankCell(r, i))
-		}
-		e.guarded(sk, cls...)
-	}
-	for r := 0; r+1 < ranks; r++ {
-		var or []sat.Lit
-		for i := 0; i < perRank; i++ {
-			jLo, jHi := i, i
-			if e.dual {
-				jLo, jHi = i-1, i+1
-			}
-			for j := jLo; j <= jHi; j++ {
-				if j < 0 || j >= perRank {
-					continue
-				}
-				pair := e.lit()
-				e.stamp(sk, pair.Not(), y(rankCell(r, i)))
-				e.stamp(sk, pair.Not(), y(rankCell(r+1, j)))
-				or = append(or, pair)
-			}
-		}
-		e.guarded(sk, or...)
-	}
-}
-
-// decode extracts the active grid's assignment from the solver model,
-// with the dual constant swap of problem.decode.
-func (e *sharedEngine) decode(sk *gridSkeleton) *lattice.Assignment {
-	a := lattice.NewAssignment(sk.g)
-	for cell := range sk.mapVars {
-		for j, mv := range sk.mapVars[cell] {
-			if e.s.Model(mv.Var()) {
-				ent := e.tl[j]
-				if e.dual {
-					switch ent.Kind {
-					case lattice.Const0:
-						ent = targetLit{Kind: lattice.Const1}
-					case lattice.Const1:
-						ent = targetLit{Kind: lattice.Const0}
-					}
-				}
-				a.Entries[cell] = ent
-				break
-			}
-		}
-	}
-	return a
+	mCegarEntries.Inc()
 }
 
 // assumptions builds the call's assumption vector: the probed grid's
@@ -493,10 +231,10 @@ func (e *sharedEngine) assumptions(sk *gridSkeleton) []sat.Lit {
 	return as
 }
 
-// solveGrid runs the CEGAR refinement for one candidate grid on the
-// shared solver. target/targetTab describe f (what the decoded
-// assignment must implement); the engine encodes enc, which is f or f^D
-// depending on orientation.
+// solveGrid runs the counterexample-guided refinement for one candidate
+// grid on the engine's solver; it is the only refinement loop. target and
+// targetTab describe f (what the decoded assignment must implement); the
+// engine encodes enc, which is f or f^D depending on orientation.
 func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 	g lattice.Grid, opt Options, deadline time.Time) (res Result, err error) {
 	e.mu.Lock()
@@ -506,7 +244,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 	if prev, ok := e.grids[g]; ok {
 		clausesBefore = prev.clauses
 	}
-	// Grid switch: before stamping the new candidate, shed the learnt
+	// Grid switch: before writing the new candidate, shed the learnt
 	// clauses whose quality says they mostly served the previous one.
 	pruned := 0
 	if e.haveLast && e.lastGrid != g {
@@ -533,13 +271,10 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 
 	cand, setSpan := startCandidate(opt.Span, g, e.dual, "shared", e.s)
 	defer func() {
-		res.StampedClauses = sk.clauses - clausesBefore
-		res.AddedClauses = res.StampedClauses
-		mSharedStamped.Add(int64(res.StampedClauses))
-		mClausesAdded.Add(int64(res.StampedClauses))
+		res.AddedClauses = sk.clauses - clausesBefore
+		mClausesAdded.Add(int64(res.AddedClauses))
 		mClausesRebld.Add(int64(res.RebuiltClauses))
 		noteStatus(cand, res)
-		cand.SetInt("stamped_clauses", int64(res.StampedClauses))
 		cand.SetInt("transferred_cex_clauses", int64(transferred))
 		cand.SetInt("transfer_filtered", int64(filtered))
 		cand.SetInt("learnts_pruned", int64(pruned))
@@ -563,8 +298,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 		lims := opt.Limits
 		if lims.MaxConflicts > 0 {
 			// Relative to the conflicts the shared solver has already spent
-			// (across every candidate), exactly like the per-candidate
-			// engine's persistent-solver accounting.
+			// (across every candidate and refinement).
 			lims.MaxConflicts += e.s.Stats().Conflicts
 		}
 		if !deadline.IsZero() {
@@ -596,7 +330,8 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 			iterSpan.End()
 			return res, nil // Unsat under act is definitive for this grid
 		}
-		decoded := e.decode(sk)
+		// Verify the candidate against the real target by simulation.
+		decoded := sk.enc.decode(e.s)
 		cex, ok := findMismatch(decoded, targetTab)
 		if ok {
 			res.Assignment = decoded
@@ -604,6 +339,9 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 			iterSpan.End()
 			return res, nil
 		}
+		// Translate the mismatching input of f into an entry of the encoded
+		// function: the dual orientation constrains f^D, whose entry t
+		// corresponds to evaluating f at ¬t.
 		entry := cex
 		if e.dual {
 			entry = ^cex & (e.encTab.Size() - 1)
@@ -616,51 +354,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 		iterSpan.SetStr("outcome", "counterexample")
 		iterSpan.SetInt("cex", int64(entry))
 		e.noteEntry(entry)
-		e.stampEntry(sk, entry)
+		e.addEntry(sk, entry)
 		iterSpan.End()
-	}
-}
-
-// solveShared is SolveLMCegar's per-attempt hook into the pool.
-func (p *SharedPool) solveShared(enc, target cube.Cover, targetTab *truth.Table,
-	g lattice.Grid, dual bool, opt Options, deadline time.Time) (Result, error) {
-	return p.engine(enc, dual, opt).solveGrid(target, targetTab, g, opt, deadline)
-}
-
-// Warm pre-loads counterexample knowledge discovered before the pool
-// existed. inputs are truth-table indexes of the target where earlier
-// (fresh-engine) candidates mismatched — the Result.CEXInputs trail. A
-// search that starts on fresh engines and later switches to the pool
-// would otherwise open cold engines and pay to rediscover exactly those
-// entries; Warm notes them up front in both orientations' terms (the
-// primal engine constrains f at the input itself, the dual engine f^D
-// at its bitwise complement). Stamping into grid skeletons still goes
-// through the transfer quality filter, so warming — like any entry
-// transfer — only tightens the relaxation and cannot change answers.
-func (p *SharedPool) Warm(target, targetDual cube.Cover, opt Options, inputs []uint64) {
-	if len(inputs) == 0 {
-		return
-	}
-	orients := []struct {
-		enc  cube.Cover
-		dual bool
-	}{{target, false}, {targetDual, true}}
-	for _, o := range orients {
-		// Respect the orientation restriction: an engine the search will
-		// never solve on has no use for the entries.
-		if (opt.Mode == PrimalOnly && o.dual) || (opt.Mode == DualOnly && !o.dual) {
-			continue
-		}
-		e := p.engine(o.enc, o.dual, opt)
-		e.mu.Lock()
-		mask := e.encTab.Size() - 1
-		for _, in := range inputs {
-			t := in & mask
-			if o.dual {
-				t = ^in & mask
-			}
-			e.noteEntry(t)
-		}
-		e.mu.Unlock()
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // TestSharedAgreesWithCegar is the shared engine's soundness check: on
 // random small LM problems, solving every grid on one shared
-// assumption-based solver must agree with the fresh-solver CEGAR engine
-// on satisfiability, and SAT answers must verify.
+// assumption-based solver must agree on satisfiability with solving each
+// grid on a pool of its own, and SAT answers must verify.
 func TestSharedAgreesWithCegar(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	grids := []lattice.Grid{{M: 2, N: 2}, {M: 3, N: 2}, {M: 2, N: 3}, {M: 3, N: 3}, {M: 4, N: 2}}
@@ -29,7 +29,7 @@ func TestSharedAgreesWithCegar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cegar %v: %v", g, err)
 			}
-			shr, err := SolveLM(f, d, g, Options{Shared: pool})
+			shr, err := SolveLMCegar(f, d, g, Options{Shared: pool})
 			if err != nil {
 				t.Fatalf("shared %v: %v", g, err)
 			}
@@ -49,14 +49,14 @@ func TestSharedAgreesWithCegar(t *testing.T) {
 func TestSharedFig1(t *testing.T) {
 	f, d := isopPair(fig1())
 	pool := NewSharedPool()
-	r, err := SolveLM(f, d, lattice.Grid{M: 3, N: 3}, Options{Shared: pool})
+	r, err := SolveLMCegar(f, d, lattice.Grid{M: 3, N: 3}, Options{Shared: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Status != sat.Unsat {
 		t.Fatalf("3x3 status = %v, want UNSAT", r.Status)
 	}
-	r, err = SolveLM(f, d, lattice.Grid{M: 4, N: 2}, Options{Shared: pool})
+	r, err = SolveLMCegar(f, d, lattice.Grid{M: 4, N: 2}, Options{Shared: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,26 +66,26 @@ func TestSharedFig1(t *testing.T) {
 }
 
 // TestSharedReuseCounters documents the engine's point: the second solve
-// of the same shape reuses the stamped skeleton (ReusedSolvers=1, far
-// fewer stamped clauses), and a second shape on the same pool gets the
+// of the same shape reuses the written skeleton (ReusedSolvers=1, far
+// fewer added clauses), and a second shape on the same pool gets the
 // first shape's counterexample entries transferred in.
 func TestSharedReuseCounters(t *testing.T) {
 	f, d := isopPair(fig1())
 	pool := NewSharedPool()
 	g := lattice.Grid{M: 4, N: 2}
 
-	first, err := SolveLM(f, d, g, Options{Shared: pool})
+	first, err := SolveLMCegar(f, d, g, Options{Shared: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.ReusedSolvers != 0 {
 		t.Fatalf("first solve claims reuse: %+v", first)
 	}
-	if first.StampedClauses == 0 {
-		t.Fatal("first solve stamped nothing")
+	if first.AddedClauses == 0 {
+		t.Fatal("first solve added nothing")
 	}
 
-	second, err := SolveLM(f, d, g, Options{Shared: pool})
+	second, err := SolveLMCegar(f, d, g, Options{Shared: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,23 +95,23 @@ func TestSharedReuseCounters(t *testing.T) {
 	if second.ReusedSolvers != 1 {
 		t.Fatal("second solve of the same shape must reuse the skeleton")
 	}
-	if second.StampedClauses >= first.StampedClauses {
-		t.Fatalf("reused solve stamped %d clauses, first stamped %d",
-			second.StampedClauses, first.StampedClauses)
+	if second.AddedClauses >= first.AddedClauses {
+		t.Fatalf("reused solve added %d clauses, first added %d",
+			second.AddedClauses, first.AddedClauses)
 	}
 
 	// A new shape, probed after another candidate discovered entries,
-	// gets those entries stamped in as transferred knowledge. Fig1's 4x2
+	// gets those entries written in as transferred knowledge. Fig1's 4x2
 	// CEGAR run always refines beyond the two seeds, so the transfer into
 	// the next shape is nonempty.
 	if first.CegarIters > 1 {
-		other, err := SolveLM(f, d, lattice.Grid{M: 2, N: 4}, Options{Shared: pool})
+		other, err := SolveLMCegar(f, d, lattice.Grid{M: 2, N: 4}, Options{Shared: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = other // 2x4 fails the structural check; pick one that builds
 	}
-	third, err := SolveLM(f, d, lattice.Grid{M: 3, N: 3}, Options{Shared: pool})
+	third, err := SolveLMCegar(f, d, lattice.Grid{M: 3, N: 3}, Options{Shared: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSharedUnsatDoesNotPoison(t *testing.T) {
 	f, d := isopPair(fig1())
 	pool := NewSharedPool()
 	for i := 0; i < 2; i++ { // twice: the reused path must stay sound too
-		r, err := SolveLM(f, d, lattice.Grid{M: 3, N: 3}, Options{Shared: pool})
+		r, err := SolveLMCegar(f, d, lattice.Grid{M: 3, N: 3}, Options{Shared: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestSharedUnsatDoesNotPoison(t *testing.T) {
 		if r.AssumptionCoreSize == 0 {
 			t.Fatalf("round %d: Unsat under assumptions must report a core", i)
 		}
-		r, err = SolveLM(f, d, lattice.Grid{M: 4, N: 2}, Options{Shared: pool})
+		r, err = SolveLMCegar(f, d, lattice.Grid{M: 4, N: 2}, Options{Shared: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestSharedUnsatDoesNotPoison(t *testing.T) {
 }
 
 // TestSharedAblationOptions runs the shared engine under each formula
-// ablation to cover the guarded/unguarded stamping variants.
+// ablation to cover the guarded/unguarded clause variants.
 func TestSharedAblationOptions(t *testing.T) {
 	f, d := isopPair(fig1())
 	g := lattice.Grid{M: 4, N: 2}
@@ -163,7 +163,7 @@ func TestSharedAblationOptions(t *testing.T) {
 		{StrictProducts: true},
 	} {
 		opt.Shared = NewSharedPool()
-		r, err := SolveLM(f, d, g, opt)
+		r, err := SolveLMCegar(f, d, g, opt)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opt, err)
 		}
@@ -183,7 +183,7 @@ func TestSharedFilterCounters(t *testing.T) {
 	f, d := isopPair(fig1())
 	g := lattice.Grid{M: 4, N: 2}
 
-	capped, err := SolveLM(f, d, g, Options{Shared: NewSharedPool(), CEXTransferLimit: 1})
+	capped, err := SolveLMCegar(f, d, g, Options{Shared: NewSharedPool(), CEXTransferLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSharedFilterCounters(t *testing.T) {
 		t.Fatalf("cap 1 against 2 seeded entries filtered nothing: %+v", capped)
 	}
 
-	open, err := SolveLM(f, d, g, Options{Shared: NewSharedPool(), CEXTransferLimit: -1})
+	open, err := SolveLMCegar(f, d, g, Options{Shared: NewSharedPool(), CEXTransferLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +210,10 @@ func TestSharedFilterCounters(t *testing.T) {
 	// the prune forced aggressive, and check the counter threads through.
 	pool := NewSharedPool()
 	aggressive := Options{Shared: pool, SharedLearntLBD: 1, SharedLearntSize: 3}
-	if _, err := SolveLM(f, d, lattice.Grid{M: 3, N: 3}, aggressive); err != nil {
+	if _, err := SolveLMCegar(f, d, lattice.Grid{M: 3, N: 3}, aggressive); err != nil {
 		t.Fatal(err)
 	}
-	back, err := SolveLM(f, d, g, aggressive)
+	back, err := SolveLMCegar(f, d, g, aggressive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +227,10 @@ func TestSharedFilterCounters(t *testing.T) {
 	// With the filter disabled the counters must stay silent.
 	offPool := NewSharedPool()
 	off := Options{Shared: offPool, CEXTransferLimit: -1, SharedLearntLBD: -1}
-	if _, err := SolveLM(f, d, lattice.Grid{M: 3, N: 3}, off); err != nil {
+	if _, err := SolveLMCegar(f, d, lattice.Grid{M: 3, N: 3}, off); err != nil {
 		t.Fatal(err)
 	}
-	quiet, err := SolveLM(f, d, g, off)
+	quiet, err := SolveLMCegar(f, d, g, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,89 +267,69 @@ func TestFilterOptionResolvers(t *testing.T) {
 	}
 }
 
-// TestPoolWarm pins the cross-engine seeding path used when the auto
-// policy opens a pool mid-search: Warm converts target inputs into each
-// orientation's entry terms (primal at the input, dual at its
-// complement), respects the Mode restriction, and a warmed pool still
-// answers correctly.
-func TestPoolWarm(t *testing.T) {
-	f, d := isopPair(fig1())
-	opt := Options{}
-	inputs := []uint64{3, 9, 3} // duplicate on purpose: noteEntry dedups
-
-	pool := NewSharedPool()
-	pool.Warm(f, d, opt, inputs)
-
-	pe := pool.engine(f, false, opt)
-	mask := pe.encTab.Size() - 1
-	for _, in := range []uint64{3, 9} {
-		if !pe.entrySet[in&mask] {
-			t.Errorf("primal engine missing warmed entry %d", in&mask)
-		}
+// TestPoolMatchesMonolithic is the per-candidate equivalence property of
+// the one LM engine. On 200 random covers of 3 to 6 inputs it walks a
+// seeded random sequence of candidate grids, revisits included, on one
+// pool, and with no SAT budget every verdict must equal the monolithic
+// formulation's (SolveLM) and every Sat assignment must realize the
+// cover. Both are definitive per candidate: a pool skeleton holds a
+// subset of the monolithic formula's entries, so its Unsat is a
+// relaxation proof, and its Sat is verified by simulation. The filtered
+// run forces the clause-quality filter to its most aggressive settings,
+// which may only drop clauses a skeleton can rediscover.
+func TestPoolMatchesMonolithic(t *testing.T) {
+	grids := []lattice.Grid{
+		{M: 1, N: 3}, {M: 3, N: 1}, {M: 2, N: 2}, {M: 2, N: 3}, {M: 3, N: 2},
+		{M: 2, N: 4}, {M: 4, N: 2}, {M: 3, N: 3},
 	}
-	de := pool.engine(d, true, opt)
-	for _, in := range []uint64{3, 9} {
-		if !de.entrySet[^in&mask] {
-			t.Errorf("dual engine missing warmed entry %d", ^in&mask)
-		}
-	}
-
-	r, err := SolveLM(f, d, lattice.Grid{M: 4, N: 2}, Options{Shared: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != sat.Sat || !r.Assignment.Realizes(f) {
-		t.Fatalf("warmed pool answer: %v", r.Status)
-	}
-
-	// Orientation restrictions keep Warm from building engines the
-	// search will never solve on; empty input builds nothing at all.
-	primal := NewSharedPool()
-	primal.Warm(f, d, Options{Mode: PrimalOnly}, inputs)
-	if n := len(primal.engines); n != 1 {
-		t.Errorf("PrimalOnly warm built %d engines, want 1", n)
-	}
-	empty := NewSharedPool()
-	empty.Warm(f, d, opt, nil)
-	if n := len(empty.engines); n != 0 {
-		t.Errorf("empty warm built %d engines, want 0", n)
-	}
-}
-
-// TestCegarReportsCEXInputs checks the fresh engine's counterexample
-// trail: refinement mismatches come back as primal truth-table indexes
-// of the target (in range regardless of the orientation that found
-// them), and the trail is non-empty somewhere across a seeded sweep —
-// otherwise Warm would silently have nothing to feed on.
-func TestCegarReportsCEXInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	grids := []lattice.Grid{{M: 2, N: 2}, {M: 3, N: 2}, {M: 3, N: 3}, {M: 4, N: 2}}
-	found := false
-	for trial := 0; trial < 30; trial++ {
-		raw := randomFunc(rng, 3, 3)
-		f := minimize.Auto(raw)
-		if f.IsZero() || f.IsOne() {
-			continue
-		}
-		d := minimize.Auto(f.Dual())
-		max := uint64(1) << uint(f.N)
-		for _, g := range grids {
-			r, err := SolveLMCegar(f, d, g, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, in := range r.CEXInputs {
-				if in >= max {
-					t.Fatalf("trial %d grid %v: CEX input %d out of range for %d inputs",
-						trial, g, in, f.N)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"default", Options{}},
+		{"filtered", Options{CEXTransferLimit: 1, SharedLearntLBD: 1, SharedLearntSize: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(4242))
+			covers, sats, unsats := 0, 0, 0
+			for covers < 200 {
+				n := 3 + rng.Intn(4) // 3..6 inputs
+				f := minimize.Auto(randomFunc(rng, n, 2+rng.Intn(3)))
+				if f.IsZero() || f.IsOne() {
+					continue
+				}
+				covers++
+				d := minimize.Auto(f.Dual())
+				opt := tc.opt
+				opt.Shared = NewSharedPool()
+				for step := 0; step < 8; step++ {
+					g := grids[rng.Intn(len(grids))]
+					mono, err := SolveLM(f, d, g, Options{})
+					if err != nil {
+						t.Fatalf("cover %d %v: monolithic: %v", covers, g, err)
+					}
+					pool, err := SolveLMCegar(f, d, g, opt)
+					if err != nil {
+						t.Fatalf("cover %d %v: pool: %v", covers, g, err)
+					}
+					if pool.Status != mono.Status {
+						t.Fatalf("cover %d step %d %v: pool %v, monolithic %v for %v",
+							covers, step, g, pool.Status, mono.Status, f)
+					}
+					switch pool.Status {
+					case sat.Sat:
+						sats++
+						if !pool.Assignment.Realizes(f) {
+							t.Fatalf("cover %d step %d %v: pool answer unverified", covers, step, g)
+						}
+					case sat.Unsat:
+						unsats++
+					}
 				}
 			}
-			if len(r.CEXInputs) > 0 {
-				found = true
+			if sats == 0 || unsats == 0 {
+				t.Fatalf("degenerate sweep: %d sat, %d unsat verdicts", sats, unsats)
 			}
-		}
-	}
-	if !found {
-		t.Fatal("no trial produced counterexample inputs; the CEXInputs trail is broken")
+		})
 	}
 }

@@ -79,10 +79,9 @@ type ProgressEvent struct {
 	Grid     string
 	Verified bool
 	// Step numbers the finished dichotomic step within its synthesis
-	// (ProgressStep, 1-based); Engine is the step's engine decision;
-	// GridsProbed the cumulative distinct lattice shapes attempted.
+	// (ProgressStep, 1-based); GridsProbed the cumulative distinct
+	// lattice shapes attempted.
 	Step        int
-	Engine      string
 	GridsProbed int
 	// Sub marks events from DS/MF sub-syntheses, which work on part
 	// covers: their bounds say nothing about the top-level target, but
@@ -126,7 +125,7 @@ func ProgressFromContext(ctx context.Context) ProgressSink {
 //	[  0.01s] phase bounds done
 //	[  0.01s] bound lb=0 ub=12 (DPS)
 //	[  0.45s] incumbent 3x3=9 verified
-//	[  0.45s] step 2 engine=fresh grids=5
+//	[  0.45s] step 2 grids=5
 //
 // Safe for concurrent use; a nil writer discards events.
 type ProgressWriter struct {
@@ -160,7 +159,7 @@ func (pw *ProgressWriter) Progress(ev ProgressEvent) {
 			line += " verified"
 		}
 	case ProgressStep:
-		line = fmt.Sprintf("step %d engine=%s grids=%d", ev.Step, ev.Engine, ev.GridsProbed)
+		line = fmt.Sprintf("step %d grids=%d", ev.Step, ev.GridsProbed)
 	default:
 		return
 	}

@@ -50,7 +50,7 @@ func TestProgressWriterRendering(t *testing.T) {
 	pw.Progress(ProgressEvent{Kind: ProgressPhaseStart, Phase: "bounds"})
 	pw.Progress(ProgressEvent{Kind: ProgressBound, LB: 4, UB: 12, Method: "DPS"})
 	pw.Progress(ProgressEvent{Kind: ProgressIncumbent, Size: 9, Grid: "3x3", Verified: true})
-	pw.Progress(ProgressEvent{Kind: ProgressStep, Step: 2, Engine: "fresh", GridsProbed: 5})
+	pw.Progress(ProgressEvent{Kind: ProgressStep, Step: 2, GridsProbed: 5})
 	pw.Progress(ProgressEvent{Kind: ProgressBound, LB: 2, UB: 6, Method: "sat", Sub: true})
 	pw.Progress(ProgressEvent{Kind: ProgressPhaseDone, Phase: "bounds"})
 	pw.Progress(ProgressEvent{Kind: ProgressKind(42)}) // unknown kinds are dropped
@@ -60,7 +60,7 @@ func TestProgressWriterRendering(t *testing.T) {
 		"phase bounds",
 		"bound lb=4 ub=12 (DPS)",
 		"incumbent 3x3=9 verified",
-		"step 2 engine=fresh grids=5",
+		"step 2 grids=5",
 		"sub bound lb=2 ub=6 (sat)",
 		"phase bounds done",
 	}
@@ -95,7 +95,7 @@ func TestProgressWriterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				pw.Progress(ProgressEvent{Kind: ProgressStep, Step: i, Engine: "fresh"})
+				pw.Progress(ProgressEvent{Kind: ProgressStep, Step: i})
 			}
 		}()
 	}

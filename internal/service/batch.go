@@ -42,8 +42,8 @@ type BatchFunction struct {
 	Output int    `json:"output,omitempty"`
 }
 
-// BatchRequest is the POST /v1/synthesize/batch payload. The synthesis
-// knobs (engine, budgets) apply to the batch as a whole — one batch is
+// BatchRequest is the POST /v1/synthesize/batch payload. The budgets
+// apply to the batch as a whole — one batch is
 // one job with one deadline.
 type BatchRequest struct {
 	// Functions lists the targets. Exactly one of Functions / PLA must
@@ -57,12 +57,9 @@ type BatchRequest struct {
 	// identity: reduced and unreduced batches are different answers.
 	Reduce *bool `json:"reduce,omitempty"`
 	// The remaining knobs mirror Request and apply to every function.
-	CEGAR        bool   `json:"cegar,omitempty"`
-	Portfolio    bool   `json:"portfolio,omitempty"`
-	Engine       string `json:"engine,omitempty"`
-	MaxConflicts int64  `json:"max_conflicts,omitempty"`
-	TimeoutMS    int64  `json:"timeout_ms,omitempty"`
-	Async        bool   `json:"async,omitempty"`
+	MaxConflicts int64 `json:"max_conflicts,omitempty"`
+	TimeoutMS    int64 `json:"timeout_ms,omitempty"`
+	Async        bool  `json:"async,omitempty"`
 }
 
 // BatchResultJSON is the wire form of a finished batch: the packed
@@ -81,9 +78,8 @@ type BatchResultJSON struct {
 	// LMSolved is the total LM solve count across every per-output
 	// search and the shared reduction — the number to compare against
 	// the sum of lm_solved over independent submissions.
-	LMSolved  int    `json:"lm_solved"`
-	Engine    string `json:"engine,omitempty"`
-	ElapsedNS int64  `json:"elapsed_ns"`
+	LMSolved  int   `json:"lm_solved"`
+	ElapsedNS int64 `json:"elapsed_ns"`
 	// Parts are the per-output results, each with its own standalone
 	// lattice (the pre-packing answers, which is also what the batch
 	// unpacks into the single-function cache).
@@ -141,7 +137,6 @@ func parseBatch(req BatchRequest) (*parsedBatch, error) {
 	for i, fn := range fns {
 		p, err := parseRequest(Request{
 			PLA: fn.PLA, Output: fn.Output,
-			CEGAR: req.CEGAR, Portfolio: req.Portfolio, Engine: req.Engine,
 			MaxConflicts: req.MaxConflicts, TimeoutMS: req.TimeoutMS,
 		})
 		if err != nil {
@@ -199,7 +194,7 @@ func renderBatch(mr *core.MultiResult, pb *parsedBatch) *BatchResultJSON {
 		Rows:    mr.Lattice.Rows(), Cols: mr.Lattice.Cols(),
 		Size: mr.Lattice.Size(), Sol: mr.Sol(),
 		Reduced: pb.reduce, LMSolved: mr.LMSolved,
-		Engine: mr.Engine, ElapsedNS: int64(mr.Elapsed),
+		ElapsedNS: int64(mr.Elapsed),
 	}
 	for i, r := range mr.Parts {
 		out.Parts = append(out.Parts, renderResult(r, pb.fns[i].names))

@@ -30,17 +30,12 @@ type FlightEntry struct {
 	// FinalLB/FinalUB are the bounds when the search stopped, and Partial
 	// marks degraded answers (verified incumbent, bounds not met) — the
 	// audit trail for every answer the anytime path handed out.
-	FinalLB int  `json:"final_lb,omitempty"`
-	FinalUB int  `json:"final_ub,omitempty"`
-	Partial bool `json:"partial,omitempty"`
-	// Engine is the verdict of the per-step engine policy over the whole
-	// search ("fresh", "shared", or "mixed"); PredictedDepth the policy's
-	// depth score at the first dichotomic step. Empty for cache hits.
-	Engine         string `json:"engine,omitempty"`
-	PredictedDepth int    `json:"predicted_depth,omitempty"`
-	QueueWaitNS    int64  `json:"queue_wait_ns,omitempty"`
-	SolveNS        int64  `json:"solve_ns,omitempty"`
-	TotalNS        int64  `json:"total_ns"`
+	FinalLB     int   `json:"final_lb,omitempty"`
+	FinalUB     int   `json:"final_ub,omitempty"`
+	Partial     bool  `json:"partial,omitempty"`
+	QueueWaitNS int64 `json:"queue_wait_ns,omitempty"`
+	SolveNS     int64 `json:"solve_ns,omitempty"`
+	TotalNS     int64 `json:"total_ns"`
 	// TracePinned marks entries whose full span trace is retained beyond
 	// the normal per-job window (slow, errored, or deadline-bounded jobs).
 	TracePinned bool `json:"trace_pinned,omitempty"`

@@ -27,17 +27,6 @@ func TestFnKeyGolden(t *testing.T) {
 		// Budgets shape how long we look, not what we ask — fn identity
 		// must ignore them (that is what makes the key routable).
 		{"budget-free", Request{PLA: base, TimeoutMS: 1234, MaxConflicts: 99}, baseKey},
-		// EngineAuto is the default and contributes nothing.
-		{"engine auto", Request{PLA: base, Engine: "auto"}, baseKey},
-		// Answer-shaping options fork the identity.
-		{"cegar", Request{PLA: base, CEGAR: true},
-			"04f783a893eabf964fe7354248c15bac2b70cf77cc444715f2c4a4db0efbfd91"},
-		{"portfolio", Request{PLA: base, Portfolio: true},
-			"df8e13aa594141d8c19a84c1fb426d48064ee15218b1507160fed523517ea551"},
-		{"engine shared", Request{PLA: base, Engine: "shared"},
-			"e6d87b9cd1114d8f7bdd55b62c52704a7b9d691b708b5dae07f570adb13f0a3a"},
-		{"engine fresh", Request{PLA: base, Engine: "fresh"},
-			"4e81db0e7aa4083437ac48d5312f2e64937877e0cf6e6cd78221b442de0c179a"},
 		{"and4 nor4", Request{PLA: ".i 4\n.o 1\n1111 1\n0000 1\n.e\n"},
 			"6eac55735c6092002e2d25b33bbd81c65300e2f13888d1196e24a589ac4589c7"},
 	}

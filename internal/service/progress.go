@@ -11,8 +11,8 @@ import (
 // the synthesis context as its obsv.ProgressSink. The state keeps two
 // faces of the same stream — a bounded ring of typed events for
 // GET /v1/jobs/{id}/events (SSE with Last-Event-ID resume, or ?wait=
-// long-poll), and a rolled-up snapshot (phase, lb/ub, best incumbent,
-// engine trail) inlined into GET /v1/jobs/{id} so a plain poll already
+// long-poll), and a rolled-up snapshot (phase, lb/ub, best incumbent)
+// inlined into GET /v1/jobs/{id} so a plain poll already
 // shows how far the search got.
 //
 // Events from DS/MF sub-syntheses stay in the stream (marked "sub") but
@@ -38,7 +38,6 @@ type ProgressEventJSON struct {
 	Grid        string `json:"grid,omitempty"`
 	Verified    bool   `json:"verified,omitempty"`
 	Step        int    `json:"step,omitempty"`
-	Engine      string `json:"engine,omitempty"`
 	GridsProbed int    `json:"grids_probed,omitempty"`
 	Sub         bool   `json:"sub,omitempty"`
 	// Terminal-event fields: the job's final status and whether the
@@ -63,9 +62,6 @@ type ProgressJSON struct {
 	// distinct lattice shapes attempted (DS sub-searches included).
 	Steps       int `json:"steps,omitempty"`
 	GridsProbed int `json:"grids_probed,omitempty"`
-	// EngineTrail is the deduplicated sequence of per-step engine
-	// decisions ("fresh", "shared"), oldest first.
-	EngineTrail []string `json:"engine_trail,omitempty"`
 	// FirstMappingMS is the time from enqueue to the first verified
 	// mapping (0 until one exists).
 	FirstMappingMS float64 `json:"first_mapping_ms,omitempty"`
@@ -73,10 +69,6 @@ type ProgressJSON struct {
 	// Last-Event-ID horizon.
 	Events uint64 `json:"events"`
 }
-
-// maxEngineTrail bounds the snapshot's engine trail; policy flips are
-// rare (auto flips at most once per search), so this is generous.
-const maxEngineTrail = 16
 
 // progressState is one job's progress stream + snapshot. Safe for
 // concurrent use: the synthesis goroutine appends, any number of HTTP
@@ -99,7 +91,6 @@ type progressState struct {
 	bestGrid     string
 	steps        int
 	gridsProbed  int
-	engineTrail  []string
 	firstMapping time.Duration
 	terminal     bool
 }
@@ -123,7 +114,7 @@ func (p *progressState) Progress(ev obsv.ProgressEvent) {
 		Kind: ev.Kind.String(), Phase: ev.Phase,
 		LB: ev.LB, UB: ev.UB, Method: ev.Method,
 		Size: ev.Size, Grid: ev.Grid, Verified: ev.Verified,
-		Step: ev.Step, Engine: ev.Engine, GridsProbed: ev.GridsProbed,
+		Step: ev.Step, GridsProbed: ev.GridsProbed,
 		Sub: ev.Sub,
 	}
 	p.mu.Lock()
@@ -163,10 +154,6 @@ func (p *progressState) rollLocked(ev obsv.ProgressEvent) {
 		p.steps++
 		if ev.GridsProbed > p.gridsProbed {
 			p.gridsProbed = ev.GridsProbed
-		}
-		if n := len(p.engineTrail); ev.Engine != "" && n < maxEngineTrail &&
-			(n == 0 || p.engineTrail[n-1] != ev.Engine) {
-			p.engineTrail = append(p.engineTrail, ev.Engine)
 		}
 	}
 }
@@ -221,7 +208,6 @@ func (p *progressState) snapshot() *ProgressJSON {
 		Phase: p.phase, LB: p.lb, UB: p.ub,
 		BestSize: p.bestSize, BestGrid: p.bestGrid,
 		Steps: p.steps, GridsProbed: p.gridsProbed,
-		EngineTrail:    append([]string(nil), p.engineTrail...),
 		FirstMappingMS: float64(p.firstMapping) / float64(time.Millisecond),
 		Events:         p.seq,
 	}

@@ -198,7 +198,7 @@ func TestCancelWithIncumbentUncached(t *testing.T) {
 }
 
 // TestJobProgressSnapshot: the snapshot inlined into job polls rolls up
-// the event stream — monotone bounds, best incumbent, step/engine trail —
+// the event stream — monotone bounds, best incumbent, steps and grids —
 // and ignores sub-synthesis events, whose bounds describe part covers.
 func TestJobProgressSnapshot(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
@@ -224,7 +224,7 @@ func TestJobProgressSnapshot(t *testing.T) {
 		sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressBound, LB: 7, UB: 7, Method: "sat", Sub: true})
 		sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressIncumbent, Size: 8, Grid: "4x2", Verified: true})
 		sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressBound, LB: 4, UB: 8, Method: "sat"})
-		sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressStep, Step: 1, Engine: "fresh", GridsProbed: 3})
+		sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressStep, Step: 1, GridsProbed: 3})
 		<-release
 		r := fakeResult()
 		r.FinalLB = 8
@@ -257,8 +257,8 @@ func TestJobProgressSnapshot(t *testing.T) {
 	if snap.BestSize != 8 || snap.BestGrid != "4x2" {
 		t.Fatalf("best incumbent = %d %q, want 8 4x2", snap.BestSize, snap.BestGrid)
 	}
-	if snap.GridsProbed != 3 || len(snap.EngineTrail) != 1 || snap.EngineTrail[0] != "fresh" {
-		t.Fatalf("snapshot trail = %d grids, %v", snap.GridsProbed, snap.EngineTrail)
+	if snap.GridsProbed != 3 {
+		t.Fatalf("snapshot grids probed = %d, want 3", snap.GridsProbed)
 	}
 	if snap.FirstMappingMS <= 0 {
 		t.Fatal("first mapping time not stamped")

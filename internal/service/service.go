@@ -919,7 +919,6 @@ func (s *Server) run(j *job) {
 		Time: j.enqueued, RequestID: j.requestID, JobID: j.id,
 		FnKey: fnPrefix(j.p.fnKey), Outcome: out.Status, Error: out.Error,
 		Grid: outcomeGrid(out), GridsProbed: res.GridsProbed,
-		Engine: res.Engine, PredictedDepth: res.PredictedDepth,
 		QueueWaitNS: int64(j.queueWait), SolveNS: int64(solve), TotalNS: int64(total),
 	}
 	if out.Result != nil {
@@ -934,7 +933,7 @@ func (s *Server) run(j *job) {
 	}
 	s.flight.record(entry)
 	s.log.Info("job finished", "job_id", j.id, "request_id", j.requestID,
-		"outcome", out.Status, "grid", entry.Grid, "engine", entry.Engine,
+		"outcome", out.Status, "grid", entry.Grid,
 		"partial", entry.Partial, "final_lb", entry.FinalLB,
 		"queue_wait_ms", j.queueWait.Milliseconds(), "solve_ms", solve.Milliseconds(),
 		"trace_pinned", entry.TracePinned)
@@ -1043,7 +1042,6 @@ func (s *Server) runBatch(j *job) {
 	if out.Batch != nil {
 		entry.Grid = out.Batch.Sol
 		entry.FinalUB = out.Batch.Size
-		entry.Engine = out.Batch.Engine
 	}
 	if s.flight.shouldPin(out.Status, false, total) {
 		if b := j.trace.Bytes(); len(b) > 0 {

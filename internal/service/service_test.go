@@ -3,9 +3,11 @@ package service
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,48 +63,44 @@ func TestCanonicalization(t *testing.T) {
 	if c.key == a.key {
 		t.Fatal("different budgets must not share a key")
 	}
-	d, err := parseRequest(Request{PLA: fig1PLA, Portfolio: true})
+	d, err := parseRequest(Request{PLA: fig1PLA, MaxConflicts: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.key == a.key {
-		t.Fatal("different engines must not share a key")
+	if d.key == a.key || d.key == c.key {
+		t.Fatal("different conflict budgets must not share a key")
 	}
 }
 
-// TestEngineRequestField: "auto" and "" are the default and keep the
-// pre-existing cache identity; a forced engine is a different question
-// (budgeted answers may differ), and the two forced modes differ from
-// each other; junk is rejected before it reaches the queue.
+// TestEngineRequestField: the engine-selection fields are gone from the
+// wire. A single or batch request that still sends engine, cegar or
+// portfolio is rejected with 400 like any unknown field, before it
+// reaches the queue; the same body without the field is served.
 func TestEngineRequestField(t *testing.T) {
-	base, err := parseRequest(Request{PLA: fig1PLA})
-	if err != nil {
-		t.Fatal(err)
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	auto, err := parseRequest(Request{PLA: fig1PLA, Engine: "auto"})
-	if err != nil {
-		t.Fatal(err)
+	pla := `"pla": ".i 2\n.o 1\n11 1\n.e\n"`
+	for _, field := range []string{`"engine": "shared"`, `"cegar": true`, `"portfolio": true`} {
+		if code := post("/v1/synthesize", "{"+pla+", "+field+"}"); code != http.StatusBadRequest {
+			t.Errorf("synthesize with %s: status %d, want 400", field, code)
+		}
+		batch := `{"functions": [{` + pla + `}], ` + field + `}`
+		if code := post("/v1/synthesize/batch", batch); code != http.StatusBadRequest {
+			t.Errorf("batch with %s: status %d, want 400", field, code)
+		}
 	}
-	if auto.key != base.key {
-		t.Fatal(`engine "auto" must keep the default cache key`)
-	}
-	shared, err := parseRequest(Request{PLA: fig1PLA, Engine: "shared"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := parseRequest(Request{PLA: fig1PLA, Engine: "fresh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared.key == base.key || fresh.key == base.key || shared.key == fresh.key {
-		t.Fatal("forced engines must have distinct cache identities")
-	}
-	if shared.coreOptions().EngineSelect != core.EngineShared ||
-		fresh.coreOptions().EngineSelect != core.EngineFresh {
-		t.Fatal("engine field must reach core options")
-	}
-	if _, err := parseRequest(Request{PLA: fig1PLA, Engine: "turbo"}); err == nil {
-		t.Fatal("unknown engine must be rejected")
+	if code := post("/v1/synthesize", "{"+pla+"}"); code != http.StatusOK {
+		t.Fatalf("plain request: status %d, want 200", code)
 	}
 }
 

@@ -58,8 +58,6 @@ type (
 	Entry = lattice.Entry
 	// Options configures Synthesize.
 	Options = core.Options
-	// EngineSelect picks the LM solver strategy (auto, shared, fresh).
-	EngineSelect = core.EngineSelect
 	// Result is the outcome of Synthesize.
 	Result = core.Result
 	// MultiResult is the outcome of SynthesizeMulti.
@@ -253,20 +251,6 @@ func MemoSnapshot() MemoStats { return memo.Snapshot() }
 // isolating measurements; concurrent synthesis remains safe during a
 // reset, it only loses cached work.
 func ResetMemo() { memo.Reset() }
-
-// Engine selection modes for Options.EngineSelect. EngineAuto (the zero
-// value and the default) predicts each dichotomic step's remaining
-// search depth and picks fresh or shared solvers per step; the other two
-// pin the choice.
-const (
-	EngineAuto   = core.EngineAuto
-	EngineShared = core.EngineShared
-	EngineFresh  = core.EngineFresh
-)
-
-// ParseEngineSelect reads an -engine flag value ("auto", "shared",
-// "fresh", or "" meaning auto).
-func ParseEngineSelect(s string) (EngineSelect, error) { return core.ParseEngineSelect(s) }
 
 // Switch entry kinds for building assignments by hand.
 const (

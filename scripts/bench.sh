@@ -19,19 +19,12 @@
 # incremental engine's speedup stays visible without checking out the old
 # tree: compare them against the BenchmarkCegarEngine ns_per_op values.
 #
-# A "shared_vs_fresh" block compares the whole dichotomic search with
-# fresh per-candidate CEGAR solvers against the shared assumption-based
-# solver (BenchmarkSharedSearch): per instance, wall time and the clause
-# volume constructed (fresh "clauses-added" vs shared "stamped-clauses").
-# Stamped < added is the template-stamping win; the ns columns show the
-# wall-clock effect.
-#
-# An "engine_policy" block compares the auto per-step engine policy
-# against both forced modes on the same instances: wall times, the
-# policy's step trail (how many steps ran shared vs fresh, the depth
-# score at the first step), and the clause-quality filter counters.
-# scripts/perfgate.py gates auto_ns against min(fresh_ns, shared_ns)
-# within the same run.
+# A "search" block times the whole dichotomic search, which runs every
+# LM solve on one shared assumption pool per synthesis
+# (BenchmarkSharedSearch): per instance, wall time, the clause volume
+# added to the pool's solvers, skeleton reuses and counterexample clauses
+# transferred between candidates. scripts/perfgate.py gates its ns
+# column against the baseline.
 #
 # A "service_load" block is appended from a cmd/janusload run against a
 # freshly started janusd (48 requests cycling 4 functions): rps, latency
@@ -75,11 +68,10 @@ go test -run '^$' \
   -bench 'BenchmarkAblationEncoding|BenchmarkTableIIJanus|BenchmarkCegarEngine' \
   -benchtime 3x . | tee "$raw"
 
-# The engine-policy comparison feeds a perf gate with a 10% tolerance —
-# tighter than single in-process runs are repeatable (mode ordering and
-# neighbor noise alone skew ±15%). Run it with more iterations and three
-# repetitions; the JSON keeps the minimum wall time per benchmark, which
-# is the noise-robust statistic for a gate (counters are deterministic).
+# The search rows feed the perf gate. Run them with more iterations and
+# three repetitions; the JSON keeps the minimum wall time per benchmark,
+# which is the noise-robust statistic for a gate (counters are
+# deterministic).
 go test -run '^$' -bench 'BenchmarkSharedSearch' -benchtime 5x -count 3 . | tee -a "$raw"
 
 awk '
@@ -116,32 +108,16 @@ END {
             (i > 1 ? ",\n" : ""), name, bestNs[name], met[name]
     }
     print "\n  ],"
-    print "  \"shared_vs_fresh\": {"
-    print "    \"comment\": \"whole dichotomic search: fresh per-candidate CEGAR solvers vs one shared assumption-based solver per orientation\","
+    print "  \"search\": {"
+    print "    \"comment\": \"whole dichotomic search on one shared assumption pool per synthesis\","
     firstinst = 1
     for (inst in insts) {
         p = "BenchmarkSharedSearch/" inst
         if (!firstinst) printf ",\n"
         firstinst = 0
-        printf "    \"%s\": {\"fresh_ns\": %s, \"fresh_clauses_added\": %s, \"shared_ns\": %s, \"shared_stamped_clauses\": %s, \"solver_reuses\": %s, \"cex_transferred\": %s, \"auto_ns\": %s}", \
-            inst, sv[p "/fresh/ns"], sv[p "/fresh/clauses-added"], \
-            sv[p "/shared/ns"], sv[p "/shared/stamped-clauses"], \
-            sv[p "/shared/solver-reuses"], sv[p "/shared/cex-transferred"], \
-            sv[p "/auto/ns"]
-    }
-    print "\n  },"
-    print "  \"engine_policy\": {"
-    print "    \"comment\": \"auto per-step engine policy vs the forced modes; auto must stay within the perfgate ratio of the better forced mode\","
-    firstinst = 1
-    for (inst in insts) {
-        p = "BenchmarkSharedSearch/" inst
-        if (!firstinst) printf ",\n"
-        firstinst = 0
-        printf "    \"%s\": {\"fresh_ns\": %s, \"shared_ns\": %s, \"auto_ns\": %s, \"auto_shared_steps\": %s, \"auto_fresh_steps\": %s, \"predicted_depth\": %s, \"auto_cex_filtered\": %s, \"auto_learnts_pruned\": %s}", \
-            inst, sv[p "/fresh/ns"], sv[p "/shared/ns"], sv[p "/auto/ns"], \
-            sv[p "/auto/shared-steps"], sv[p "/auto/fresh-steps"], \
-            sv[p "/auto/predicted-depth"], sv[p "/auto/cex-filtered"], \
-            sv[p "/auto/learnts-pruned"]
+        printf "    \"%s\": {\"ns\": %s, \"clauses_added\": %s, \"solver_reuses\": %s, \"cex_transferred\": %s}", \
+            inst, sv[p "/ns"], sv[p "/clauses-added"], \
+            sv[p "/solver-reuses"], sv[p "/cex-transferred"]
     }
     print "\n  },"
     print "  \"cegar_seed_baseline\": {"

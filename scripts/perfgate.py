@@ -7,8 +7,8 @@ Compares the committed BENCH_janus.json against a fresh scripts/bench.sh
 run of the same tree:
 
   * every BenchmarkCegarEngine/* ns_per_op, and
-  * the shared_vs_fresh per-instance wall clocks (fresh_ns, shared_ns,
-    auto_ns),
+  * the whole-search wall clock of every BenchmarkSharedSearch instance
+    (the "search" block's ns column),
 
 failing when current/baseline exceeds max_ratio (default 1.2, i.e. a
 >20% wall-clock regression). Benchmarks present only on one side are
@@ -16,12 +16,10 @@ reported but not fatal — renaming an instance shouldn't brick CI, and a
 new instance has no baseline yet. The ratio can be loosened via the
 PERF_GATE_RATIO environment variable for known-noisy runners.
 
-On top of the baseline comparison, the engine_policy block of the
-CURRENT run is gated against itself: on every instance the auto policy's
-wall clock must stay within PERF_GATE_AUTO_RATIO (default 1.1) of the
-better forced mode, min(fresh_ns, shared_ns). This is a within-run
-comparison, so machine speed cancels out — it fails only when the
-policy itself picks a losing engine.
+A baseline recorded while the search still had several engines has no
+"search" block; its shared_vs_fresh shared_ns column timed the search
+forced onto the shared pool, which is the search that remains, so the
+gate compares against that column.
 """
 import json
 import os
@@ -36,38 +34,16 @@ def cegar_rows(doc):
     }
 
 
-def shared_rows(doc):
+def search_rows(doc):
     rows = {}
-    for inst, r in doc.get("shared_vs_fresh", {}).items():
-        if not isinstance(r, dict):
-            continue
-        for col in ("fresh_ns", "shared_ns", "auto_ns"):
-            if r.get(col):
-                rows[f"{inst}/{col}"] = float(r[col])
+    if "search" in doc:
+        block, col = doc["search"], "ns"
+    else:
+        block, col = doc.get("shared_vs_fresh", {}), "shared_ns"
+    for inst, r in block.items():
+        if isinstance(r, dict) and r.get(col):
+            rows[f"{inst}/search_ns"] = float(r[col])
     return rows
-
-
-def auto_gate(cur, ratio):
-    """Within-run check: auto within ratio of min(fresh, shared) per
-    instance. Returns (failures, checked)."""
-    failures, checked = [], 0
-    for inst, r in sorted(cur.get("engine_policy", {}).items()):
-        if not isinstance(r, dict):
-            continue
-        try:
-            fresh, shared, auto = (float(r[c]) for c in ("fresh_ns", "shared_ns", "auto_ns"))
-        except (KeyError, TypeError, ValueError):
-            print(f"note: engine_policy {inst} incomplete, skipping")
-            continue
-        checked += 1
-        best = min(fresh, shared)
-        rel = auto / best
-        status = "FAIL" if rel > ratio else "ok"
-        print(f"{status}: auto {inst}: {auto:.0f} ns vs best forced {best:.0f} ns ({rel:.2f}x)")
-        if rel > ratio:
-            failures.append(
-                f"auto engine {rel:.2f}x slower than best forced mode on {inst} (limit {ratio:.2f}x)")
-    return failures, checked
 
 
 def main():
@@ -79,7 +55,7 @@ def main():
         os.environ.get("PERF_GATE_RATIO", "1.2"))
 
     failures, checked = [], 0
-    for label, get in (("cegar", cegar_rows), ("shared_vs_fresh", shared_rows)):
+    for label, get in (("cegar", cegar_rows), ("search", search_rows)):
         b, c = get(base), get(cur)
         for name in sorted(b):
             if name not in c:
@@ -93,11 +69,6 @@ def main():
                 failures.append(f"{name} regressed {r:.2f}x (limit {ratio:.2f}x)")
         for name in sorted(set(c) - set(b)):
             print(f"note: {label} {name} has no baseline")
-
-    auto_ratio = float(os.environ.get("PERF_GATE_AUTO_RATIO", "1.1"))
-    auto_failures, auto_checked = auto_gate(cur, auto_ratio)
-    failures += auto_failures
-    checked += auto_checked
 
     if checked == 0:
         sys.exit("perfgate: nothing compared — baseline/current mismatch?")
