@@ -13,6 +13,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(".i 1\n.o 1\n- 1\n")
 	f.Add("p cnf nonsense")
 	f.Add(".i 3\n.o 1\n1-1 1\n0-0 1\n")
+	f.Add(".i 0\n.o 200000\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		pf, err := ParseString(input)
 		if err != nil {

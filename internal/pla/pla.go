@@ -16,6 +16,12 @@ import (
 	"github.com/lattice-tools/janus/internal/cube"
 )
 
+// MaxOutputs bounds the .o count Parse accepts. The parser allocates one
+// cover per declared output before reading any cube, and janusd and
+// janusfront parse every request body, so the count must be bounded
+// before it is trusted. The widest embedded instance (bw) has 28 outputs.
+const MaxOutputs = 1024
+
 // File is a parsed PLA: one cover per output plus the declared names.
 type File struct {
 	Inputs      int
@@ -48,6 +54,9 @@ func Parse(r io.Reader) (*File, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("pla: line %d: malformed .i", line)
 			}
+			if f.Inputs >= 0 {
+				return nil, fmt.Errorf("pla: line %d: second .i", line)
+			}
 			if _, err := fmt.Sscanf(fields[1], "%d", &f.Inputs); err != nil {
 				return nil, fmt.Errorf("pla: line %d: %v", line, err)
 			}
@@ -58,11 +67,16 @@ func Parse(r io.Reader) (*File, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("pla: line %d: malformed .o", line)
 			}
+			// A second .o would silently drop the cubes read before it.
+			if f.Outputs >= 0 {
+				return nil, fmt.Errorf("pla: line %d: second .o", line)
+			}
 			if _, err := fmt.Sscanf(fields[1], "%d", &f.Outputs); err != nil {
 				return nil, fmt.Errorf("pla: line %d: %v", line, err)
 			}
-			if f.Outputs < 1 {
-				return nil, fmt.Errorf("pla: line %d: bad output count", line)
+			if f.Outputs < 1 || f.Outputs > MaxOutputs {
+				return nil, fmt.Errorf("pla: line %d: unsupported output count %d (at most %d)",
+					line, f.Outputs, MaxOutputs)
 			}
 			f.Covers = make([]cube.Cover, f.Outputs)
 		case fields[0] == ".ilb":

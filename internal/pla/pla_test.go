@@ -1,6 +1,7 @@
 package pla
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -151,5 +152,45 @@ func TestParseLongLine(t *testing.T) {
 	}
 	if len(f.Covers[0].Cubes) != 1 {
 		t.Fatalf("cover = %v", f.Covers[0])
+	}
+}
+
+// TestParseOutputCountBounded: the .o count is bounded before the parser
+// allocates a cover per output. A 20-byte body declaring ten million
+// outputs once allocated over a gigabyte; it must now fail cheaply.
+func TestParseOutputCountBounded(t *testing.T) {
+	const in = ".i 1\n.o 10000000\n.e\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseString(in)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ten million outputs accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("rejecting the output count allocated %d bytes", n)
+	}
+	at := fmt.Sprintf(".i 1\n.o %d\n1 %s\n.e\n", MaxOutputs, strings.Repeat("1", MaxOutputs))
+	if f, err := ParseString(at); err != nil || len(f.Covers) != MaxOutputs {
+		t.Fatalf("MaxOutputs outputs: %v", err)
+	}
+	if _, err := ParseString(fmt.Sprintf(".i 1\n.o %d\n.e\n", MaxOutputs+1)); err == nil {
+		t.Fatal("MaxOutputs+1 outputs accepted")
+	}
+}
+
+// TestParseRepeatedHeader: a second .i or .o is an error. A second .o
+// used to reallocate the covers and silently drop every cube read before
+// it.
+func TestParseRepeatedHeader(t *testing.T) {
+	for _, in := range []string{
+		".i 2\n.o 1\n11 1\n.o 1\n00 1\n.e\n",
+		".i 2\n.o 1\n.o 2\n.e\n",
+		".i 2\n.i 3\n.o 1\n.e\n",
+		".i 2\n.o 1\n11 1\n.i 2\n.e\n",
+	} {
+		if _, err := ParseString(in); err == nil {
+			t.Errorf("%q accepted", in)
+		}
 	}
 }

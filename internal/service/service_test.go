@@ -104,6 +104,24 @@ func TestEngineRequestField(t *testing.T) {
 	}
 }
 
+// TestHugeOutputCountRejected: a tiny body declaring ten million PLA
+// outputs is refused with 400 before anything sized by the count is
+// allocated (the parser bounds .o at pla.MaxOutputs).
+func TestHugeOutputCountRejected(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"pla": ".i 1\n.o 10000000\n.e\n"}`
+	resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestCoalesce: N identical concurrent requests must run exactly one
 // synthesis; the joiners are answered from the same job with
 // Cached == "coalesced". Run under -race in CI this also checks the
