@@ -148,27 +148,6 @@ func (b *Builder) SolverFrom() *sat.Solver {
 	return s
 }
 
-// FlushTo transfers the clauses accumulated since the last flush (or
-// since construction) into the solver and releases their bodies,
-// returning how many were transferred. Interleaving clause construction
-// with FlushTo and Solver.Solve is how the incremental CEGAR engine grows
-// one persistent solver instead of rebuilding per refinement: the builder
-// keeps allocating variables and clauses, the solver only ever sees each
-// clause once. NumVars/NumClauses keep counting across flushes.
-func (b *Builder) FlushTo(s *sat.Solver) int {
-	s.EnsureVars(b.nVars)
-	b.reserve(s)
-	n := len(b.clauses)
-	for _, c := range b.clauses {
-		if err := s.AddClause(c...); err != nil {
-			break // solver already unsat; remaining clauses are irrelevant
-		}
-	}
-	b.released += n
-	b.clauses = nil
-	return n
-}
-
 // reserve sizes the solver's clause arena for the pending clauses.
 func (b *Builder) reserve(s *sat.Solver) {
 	lits := 0

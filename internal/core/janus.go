@@ -56,12 +56,11 @@ type Options struct {
 	// concurrently (the paper's machine ran 28 cores). Values below 2 keep
 	// the search sequential. Among the satisfiable candidates of a
 	// midpoint, the smallest area wins with ties broken by candidate
-	// order. Candidates of one orientation share one pool engine and
-	// serialize on it, in scheduling order, and they share its learnt
-	// clauses; so without a SAT budget the search is exact and the size
-	// is the same on every run, but under a conflict budget or timeout the
-	// answers can vary from run to run. Only Workers below 2 is
-	// deterministic under a budget.
+	// order. The result is deterministic only without a SAT budget or
+	// with Workers below 2: concurrent candidates of one orientation
+	// serialize on one pool engine in scheduling order and share its
+	// learnt clauses, so under a conflict budget or timeout their
+	// verdicts can vary from run to run.
 	Workers int
 	// Budget bounds the whole synthesis by wall clock (the paper's
 	// analogue is the 6-hour CPU limit per instance). When it expires the

@@ -28,7 +28,7 @@ var (
 	mSharedReused   = obsv.Default.Counter("janus_encode_shared_reused_solvers_total")
 	mSharedTransfer = obsv.Default.Counter("janus_encode_shared_transferred_cex_clauses_total")
 	// Clause-quality filter: counterexample entries the transfer cap
-	// declined to stamp, and learnt clauses pruned on grid switches.
+	// declined to write, and learnt clauses pruned on grid switches.
 	mSharedFiltered = obsv.Default.Counter("janus_encode_shared_transfer_filtered_total")
 	mSharedPruned   = obsv.Default.Counter("janus_encode_shared_learnts_pruned_total")
 	hAssumeCore     = obsv.Default.Histogram("janus_encode_assumption_core_size")
