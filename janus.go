@@ -287,8 +287,9 @@ func SynthesizeMulti(fns []Cover, opt Options, reduce bool) (*MultiResult, error
 type LMResult = encode.Result
 
 // MapOnto decides the paper's core subproblem directly: can f be realized
-// on the given lattice? The function is Auto-minimized first; a Sat result
-// carries a verified assignment.
+// on the given lattice? It solves the paper's monolithic formulation. The
+// function is Auto-minimized first; a Sat result carries a verified
+// assignment.
 func MapOnto(f Cover, g Grid, opt EncodeOptions) (LMResult, error) {
 	isop, dual := minimize.AutoDual(f)
 	return encode.SolveLM(isop, dual, g, opt)
