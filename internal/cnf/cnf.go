@@ -148,13 +148,17 @@ func (b *Builder) SolverFrom() *sat.Solver {
 	return s
 }
 
-// reserve sizes the solver's clause arena for the pending clauses.
+// reserve sizes the solver's clause arena for the pending clauses of
+// three or more literals; binary clauses take no arena room.
 func (b *Builder) reserve(s *sat.Solver) {
-	lits := 0
+	clauses, lits := 0, 0
 	for _, c := range b.clauses {
-		lits += len(c)
+		if len(c) > 2 {
+			clauses++
+			lits += len(c)
+		}
 	}
-	s.Reserve(len(b.clauses), lits)
+	s.Reserve(clauses, lits)
 }
 
 // WriteDIMACS serializes the formula in DIMACS CNF format.

@@ -19,7 +19,10 @@ const tinyLearntCap = -64 * 256
 // problem and learnt clause is watched on exactly its first two literals,
 // every watch entry belongs to a listed clause, reasons of assigned
 // variables are live clauses containing the implied literal, and the
-// waste counter matches the deleted words.
+// waste counter matches the deleted words. Implicit binaries are checked
+// too: each is watched from both of its literals' lists, their number is
+// the binaries counter, and an implicit reason names one of them whose
+// other literal is false.
 func checkArena(t *testing.T, s *Solver) {
 	t.Helper()
 	live := map[cref]bool{}
@@ -52,8 +55,17 @@ func checkArena(t *testing.T, s *Solver) {
 			watched[w.c]++
 		}
 	}
+	implicit := map[[2]Lit]int{} // (x, other) from x's entry in the list of ¬x
 	for l, ws := range s.binWatches {
 		for _, w := range ws {
+			if w.c&binTag != 0 {
+				x := Lit(w.c &^ binTag)
+				if x.Not() != Lit(l) || w.other == x {
+					t.Fatalf("implicit binary (%v ∨ %v) in the list of %v", x, w.other, Lit(l))
+				}
+				implicit[[2]Lit{x, w.other}]++
+				continue
+			}
 			if !live[w.c] || s.size(w.c) != 2 {
 				t.Fatalf("binary watch list %d holds a dead or long clause %d", l, w.c)
 			}
@@ -68,9 +80,27 @@ func checkArena(t *testing.T, s *Solver) {
 			t.Fatalf("clause %d has %d watch entries", c, watched[c])
 		}
 	}
+	entries := 0
+	for k, n := range implicit {
+		if implicit[[2]Lit{k[1], k[0]}] != n {
+			t.Fatalf("implicit binary (%v ∨ %v) is watched %d times from %v, %d from %v",
+				k[0], k[1], n, k[0], implicit[[2]Lit{k[1], k[0]}], k[1])
+		}
+		entries += n
+	}
+	if entries != 2*s.binaries {
+		t.Fatalf("%d implicit binary watch entries for %d binaries", entries, s.binaries)
+	}
 	for _, l := range s.trail {
 		r := s.reason[l.Var()]
-		if r != crefUndef && (!live[r] || !slices.Contains(s.lits(r), uint32(l))) {
+		switch {
+		case r == crefUndef:
+		case r&binTag != 0:
+			other := Lit(r &^ binTag)
+			if implicit[[2]Lit{other, l}] == 0 || s.value(other) != lFalse {
+				t.Fatalf("reason of %v is implicit binary with %v, which does not imply it", l, other)
+			}
+		case !live[r] || !slices.Contains(s.lits(r), uint32(l)):
 			t.Fatalf("reason of %v is clause %d, which does not imply it", l, r)
 		}
 	}
@@ -124,8 +154,46 @@ func TestArenaRelocation(t *testing.T) {
 	}
 }
 
+// TestCloneContinuesIdentically clones an incremental session over binary
+// and ternary clauses before every round and carries on with both copies.
+// The clone works first, so the original's answer would show any state the
+// two still shared: each round both take the same new clauses and solve
+// under the same assumptions, and must agree on verdict, Stats, and model
+// or core, with every offset holder of both checked.
+func TestCloneContinuesIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const nVars = 90
+	s := New(nVars)
+	for _, c := range append(randomCNF(rng, nVars, 50, 2), randomCNF(rng, nVars, 300, 3)...) {
+		s.AddClause(c...)
+	}
+	s.learntCap = 64
+	conflicts := int64(0)
+	for round := 0; round < 8; round++ {
+		c := s.Clone()
+		checkArena(t, c)
+		more := randomCNF(rng, nVars, 6, 2+round%2)
+		as := []Lit{MkLit(rng.Intn(nVars), rng.Intn(2) == 0), MkLit(rng.Intn(nVars), rng.Intn(2) == 0)}
+		for _, x := range []*Solver{c, s} {
+			for _, cl := range more {
+				x.AddClause(cl...)
+			}
+		}
+		cst := c.SolveAssume(Limits{}, as...)
+		st := s.SolveAssume(Limits{}, as...)
+		checkSameRun(t, s, st, c, cst)
+		checkArena(t, s)
+		checkArena(t, c)
+		conflicts = s.Stats().Conflicts
+	}
+	if conflicts == 0 {
+		t.Fatal("the session never reached a conflict")
+	}
+}
+
 // TestAddClauseAllocFree: adding a clause into spare arena and watch-list
-// capacity allocates nothing, binary or long.
+// capacity allocates nothing, binary or long; a problem binary allocates
+// nothing even without arena room, as it takes none.
 func TestAddClauseAllocFree(t *testing.T) {
 	s := New(8)
 	long := []Lit{lit(2), nlit(0), lit(1)}
@@ -145,6 +213,18 @@ func TestAddClauseAllocFree(t *testing.T) {
 	if s.NumClauses() != 2*(runs+1) {
 		t.Fatalf("NumClauses = %d", s.NumClauses())
 	}
+	arena := len(s.arena)
+	bin2 := []Lit{nlit(5), lit(6)}
+	for _, l := range []Lit{lit(5), nlit(6)} {
+		s.binWatches[l] = slices.Grow(s.binWatches[l], runs+1)
+	}
+	if n := testing.AllocsPerRun(runs, func() { s.AddClause(bin2...) }); n != 0 {
+		t.Fatalf("adding a binary clause allocated %v times", n)
+	}
+	if len(s.arena) != arena || s.NumClauses() != 2*(runs+1)+runs+1 {
+		t.Fatalf("binary clauses grew the arena %d -> %d words; NumClauses = %d", arena, len(s.arena), s.NumClauses())
+	}
+	checkArena(t, s)
 }
 
 // TestResolveAllocFree: once a satisfiable formula is solved, re-solving

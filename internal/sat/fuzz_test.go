@@ -34,21 +34,26 @@ func FuzzParseDIMACS(f *testing.F) {
 
 // FuzzSolveVsBruteForce decodes its input into an incremental session
 // over at most 12 variables: clauses, solves under assumptions,
-// PruneLearnts calls and arena compactions, interleaved. Every verdict is
-// checked against enumeration, every model against the clauses and
-// assumptions, and every final core for being a subset of the
+// PruneLearnts calls, arena compactions and clones, interleaved. A clone
+// joins the session: every later step runs on the original and on each
+// clone, and their verdicts, Stats, models and cores must stay identical.
+// Every verdict is checked against enumeration, every model against the
+// clauses and assumptions, and every final core for being a subset of the
 // assumptions that together with the formula is unsatisfiable. After each
 // step checkArena verifies every holder of a clause offset. When the
 // second byte is odd every solve starts from tinyLearntCap.
 //
 // Encoding: byte 0 picks the variable count, byte 1 the learnt cap, then
 // each op byte's low three bits pick the operation and its high bits a
-// width or a budget; literal bytes give the variable in bits 1-7 and the
-// sign in bit 0.
+// width, a budget or (op 7) compaction against cloning; literal bytes give
+// the variable in bits 1-7 and the sign in bit 0.
 func FuzzSolveVsBruteForce(f *testing.F) {
 	f.Add([]byte{5, 1, 0x10, 2, 5, 8, 0x18, 3, 6, 9, 1, 0x0c, 0, 0x14, 2, 3, 4, 0x06, 0x07, 0x05})
 	f.Add([]byte{11, 0, 0x18, 0, 2, 4, 6, 0x19, 1, 3, 5, 7, 0x1a, 8, 10, 12, 14, 0x14, 1, 2, 0x2e, 0x0f, 0x1c, 3, 5, 7, 9})
 	f.Add([]byte{2, 1, 0x00, 0, 0x00, 1, 0x04, 0x0d, 0, 2})
+	// Binary clauses, a clone, more binaries on both copies, solves.
+	f.Add([]byte{7, 0, 0x08, 0, 3, 0x08, 2, 5, 0x08, 4, 7, 0x0f, 0x08, 1, 8, 0x08, 6, 9,
+		0x0c, 1, 0x14, 0, 4, 0x08, 10, 13, 0x0f, 0x10, 1, 2, 5, 0x0c, 12, 0x06, 0x07, 0x0d, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Inputs stay short so that minimizing a new one, which the fuzzer
 		// does before it counts further executions, takes moments.
@@ -57,7 +62,7 @@ func FuzzSolveVsBruteForce(f *testing.F) {
 		}
 		nVars := 1 + int(data[0])%12
 		tiny := data[1]&1 == 1
-		s := New(nVars)
+		ss := []*Solver{New(nVars)}
 		data = data[2:]
 		// lits decodes the next k literal bytes, or reports that the input
 		// ran out.
@@ -83,24 +88,61 @@ func FuzzSolveVsBruteForce(f *testing.F) {
 					return
 				}
 				cls = append(cls, c)
-				s.AddClause(c...)
+				for _, s := range ss {
+					s.AddClause(c...)
+				}
 			case 4, 5:
 				as, ok := lits(int(op>>3) % 5)
 				if !ok {
 					return
 				}
-				if tiny {
-					s.learntCap = tinyLearntCap
+				var st0 Status
+				for i, s := range ss {
+					if tiny {
+						s.learntCap = tinyLearntCap
+					}
+					st := s.SolveAssume(Limits{}, as...)
+					checkVsBruteForce(t, s, nVars, cls, as, st)
+					if i == 0 {
+						st0 = st
+					} else {
+						checkSameRun(t, ss[0], st0, s, st)
+					}
 				}
-				checkVsBruteForce(t, s, nVars, cls, as, s.SolveAssume(Limits{}, as...))
 			case 6:
-				s.PruneLearnts(int32(op>>3&3), 2+int(op>>5))
+				for _, s := range ss {
+					s.PruneLearnts(int32(op>>3&3), 2+int(op>>5))
+				}
 			case 7:
-				s.compact()
+				if op>>3&1 == 1 && len(ss) < 3 {
+					ss = append(ss, ss[0].Clone())
+					break
+				}
+				for _, s := range ss {
+					s.compact()
+				}
 			}
-			checkArena(t, s)
+			for _, s := range ss {
+				checkArena(t, s)
+			}
 		}
 	})
+}
+
+// checkSameRun checks that clone c has just answered exactly as s did:
+// the same status, Stats, and model or final core.
+func checkSameRun(t *testing.T, s *Solver, st Status, c *Solver, cst Status) {
+	t.Helper()
+	switch {
+	case cst != st:
+		t.Fatalf("clone answered %v, original %v", cst, st)
+	case s.Stats() != c.Stats():
+		t.Fatalf("clone's Stats %+v, original's %+v", c.Stats(), s.Stats())
+	case st == Sat && !slices.Equal(s.ModelSlice(), c.ModelSlice()):
+		t.Fatal("clone's model differs from the original's")
+	case st == Unsat && !slices.Equal(s.FinalCore(), c.FinalCore()):
+		t.Fatalf("clone's core %v, original's %v", c.FinalCore(), s.FinalCore())
+	}
 }
 
 // checkVsBruteForce checks one SolveAssume verdict by enumeration.

@@ -8,10 +8,11 @@
 // saving, Luby restarts, and glucose-style learnt-clause database
 // reduction keyed on the literal block distance (LBD).
 //
-// Clauses live in one flat arena of 32-bit words and are named by their
-// offset into it (see cref), so the search loop allocates nothing once
-// the arena, the watch lists and the scratch buffers have grown to the
-// formula's size.
+// Clauses of three or more literals, and learnt clauses, live in one flat
+// arena of 32-bit words and are named by their offset into it (see cref);
+// problem clauses of two literals live only in the binary watch lists. So
+// the search loop allocates nothing once the arena, the watch lists and
+// the scratch buffers have grown to the formula's size.
 package sat
 
 import (
@@ -132,6 +133,20 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
+// Add returns the counter sums s + t, for totals over several windows.
+func (s Stats) Add(t Stats) Stats {
+	return Stats{
+		Decisions:    s.Decisions + t.Decisions,
+		Conflicts:    s.Conflicts + t.Conflicts,
+		Propagations: s.Propagations + t.Propagations,
+		Restarts:     s.Restarts + t.Restarts,
+		Learnts:      s.Learnts + t.Learnts,
+		Removed:      s.Removed + t.Removed,
+		Reductions:   s.Reductions + t.Reductions,
+		LBDSum:       s.LBDSum + t.LBDSum,
+	}
+}
+
 // LBDBuckets is the size of the solver's LBD distribution: bucket i
 // counts learnt clauses with LBD i (clamped into the last bucket).
 const LBDBuckets = 16
@@ -165,10 +180,23 @@ type SolveStats struct {
 //
 // Offsets are held by the watch lists, reason, clauses and learnts;
 // compact moves the live clauses and relocates every one of them.
+//
+// Problem clauses of two literals get no arena record. A cref with binTag
+// set names such an implicit binary by its other literal (see binRef), so
+// arena offsets are limited to 2^31 words.
 type cref uint32
 
 // crefUndef is the reason of decisions, assumptions and level-0 units.
 const crefUndef cref = math.MaxUint32
+
+// binTag marks a cref that is not an arena offset but an implicit problem
+// binary clause. crefUndef carries the tag too, so c&binTag == 0 alone
+// says that c is an arena offset.
+const binTag cref = 1 << 31
+
+// binRef names the implicit binary clause (x ∨ other) as the reason of x,
+// or, with the second literal kept in Solver.binConfl, as a conflict.
+func binRef(other Lit) cref { return binTag | cref(other) }
 
 const (
 	hdrWords   = 3
@@ -186,7 +214,8 @@ type watcher struct {
 }
 
 // binWatcher is the specialized watch entry for two-literal clauses: when
-// the watched literal is falsified, other must hold.
+// the watched literal is falsified, other must hold, with c as its reason.
+// c is the arena offset of a learnt binary or binRef of an implicit one.
 type binWatcher struct {
 	other Lit
 	c     cref
@@ -203,10 +232,11 @@ const (
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	nVars      int
-	arena      []uint32 // every clause, problem and learnt (see cref)
+	arena      []uint32 // every clause but the implicit binaries (see cref)
 	wasted     int      // words of arena held by deleted clauses
 	spare      []uint32 // the arena before the last compaction, reused by the next
-	clauses    []cref
+	clauses    []cref   // problem clauses in the arena, three literals or more
+	binaries   int      // implicit problem binaries, held by binWatches alone
 	learnts    []cref
 	watches    [][]watcher
 	binWatches [][]binWatcher
@@ -241,6 +271,11 @@ type Solver struct {
 	addBuf    []Lit
 	learntBuf []Lit
 	toClear   []int32
+	// binConfl is the second literal of the implicit binary conflict
+	// propagate last returned, and binLits the window clause hands out for
+	// an implicit binary.
+	binConfl Lit
+	binLits  [2]uint32
 
 	// assume holds the current call's assumption literals: assumption i
 	// is decided at decision level i+1 before any branching. finalCore
@@ -286,11 +321,63 @@ func (s *Solver) grow(nVars int) {
 	s.nVars = nVars
 }
 
+// Clone returns an independent copy of the solver: the same clauses,
+// learnt database, assignment, activities, phases, heap order and
+// counters, so that the copy goes on to make exactly the decisions,
+// conflicts and propagations the original would. Every array is copied;
+// the spare arena, the scratch buffers and the observer are not.
+func (s *Solver) Clone() *Solver {
+	c := *s
+	c.arena = slices.Clone(s.arena)
+	c.spare = nil
+	c.clauses = slices.Clone(s.clauses)
+	c.learnts = slices.Clone(s.learnts)
+	c.watches = cloneLists(s.watches)
+	c.binWatches = cloneLists(s.binWatches)
+	c.assign = slices.Clone(s.assign)
+	c.level = slices.Clone(s.level)
+	c.reason = slices.Clone(s.reason)
+	c.phase = slices.Clone(s.phase)
+	c.activity = slices.Clone(s.activity)
+	c.heap = slices.Clone(s.heap)
+	c.heapPos = slices.Clone(s.heapPos)
+	c.trail = slices.Clone(s.trail)
+	c.trailLim = slices.Clone(s.trailLim)
+	c.seen = slices.Clone(s.seen)
+	c.lbdStamp = slices.Clone(s.lbdStamp)
+	c.addBuf, c.learntBuf, c.toClear = nil, nil, nil
+	c.assume = nil
+	c.finalCore = slices.Clone(s.finalCore)
+	c.observer = nil
+	return &c
+}
+
+// cloneLists copies watch lists into one backing array, each list capped
+// at its length so that growing one reallocates that list alone.
+func cloneLists[W any](lists [][]W) [][]W {
+	n := 0
+	for _, ws := range lists {
+		n += len(ws)
+	}
+	all := make([]W, 0, n)
+	out := make([][]W, len(lists))
+	for i, ws := range lists {
+		if len(ws) == 0 {
+			continue
+		}
+		start := len(all)
+		all = append(all, ws...)
+		out[i] = all[start:len(all):len(all)]
+	}
+	return out
+}
+
 // NumVars returns the variable count.
 func (s *Solver) NumVars() int { return s.nVars }
 
-// NumClauses returns the number of problem clauses currently stored.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+// NumClauses returns the number of problem clauses currently stored,
+// implicit binaries included.
+func (s *Solver) NumClauses() int { return len(s.clauses) + s.binaries }
 
 // Stats returns search counters accumulated so far.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -322,10 +409,11 @@ func (s *Solver) EnsureVars(n int) {
 	}
 }
 
-// Reserve makes room for clauses more problem clauses holding lits
-// literals in all, so that loading a formula of known volume grows the
-// clause arena once instead of by repeated doubling. It is only a
-// capacity hint: the formula and the search are unaffected.
+// Reserve makes room for clauses more problem clauses of three or more
+// literals holding lits literals in all, so that loading a formula of
+// known volume grows the clause arena once instead of by repeated
+// doubling. Binary clauses take no arena room. It is only a capacity
+// hint: the formula and the search are unaffected.
 func (s *Solver) Reserve(clauses, lits int) {
 	s.arena = slices.Grow(s.arena, clauses*hdrWords+lits)
 	s.clauses = slices.Grow(s.clauses, clauses)
@@ -338,6 +426,9 @@ func (s *Solver) Reserve(clauses, lits int) {
 // learnt one.
 func (s *Solver) alloc(lits []Lit, lbdWord uint32) cref {
 	c := cref(len(s.arena))
+	if int64(c)+hdrWords+int64(len(lits)) >= int64(binTag) {
+		panic("sat: clause arena exceeds 2^31 words")
+	}
 	s.arena = append(s.arena, uint32(len(lits)), lbdWord, 0)
 	for _, l := range lits {
 		s.arena = append(s.arena, uint32(l))
@@ -351,6 +442,24 @@ func (s *Solver) alloc(lits []Lit, lbdWord uint32) cref {
 func (s *Solver) lits(c cref) []uint32 {
 	n := cref(s.arena[c] &^ deletedBit)
 	return s.arena[c+hdrWords : c+hdrWords+n]
+}
+
+// clause returns the literals of the reason or conflict c, where with is
+// the literal c was found through: the implied literal of a reason, or
+// binConfl for a conflict. An arena clause is its arena window; an
+// implicit binary is its two literals in ascending order, the order
+// AddClause gave the arena record such a clause used to have. Valid until
+// the next call.
+func (s *Solver) clause(c cref, with Lit) []uint32 {
+	if c&binTag == 0 {
+		return s.lits(c)
+	}
+	a, b := uint32(c&^binTag), uint32(with)
+	if b < a {
+		a, b = b, a
+	}
+	s.binLits = [2]uint32{a, b}
+	return s.binLits[:]
 }
 
 func (s *Solver) size(c cref) int { return int(s.arena[c] &^ deletedBit) }
@@ -414,11 +523,13 @@ func (s *Solver) compact() {
 	}
 	for _, ws := range s.binWatches {
 		for i := range ws {
-			ws[i].c = reloc(ws[i].c)
+			if ws[i].c&binTag == 0 {
+				ws[i].c = reloc(ws[i].c)
+			}
 		}
 	}
 	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != crefUndef {
+		if r := s.reason[l.Var()]; r&binTag == 0 {
 			s.reason[l.Var()] = reloc(r)
 		}
 	}
@@ -488,6 +599,13 @@ func (s *Solver) AddClause(lits ...Lit) error {
 		if s.propagate() != crefUndef {
 			s.ok = false
 		}
+		return nil
+	case 2:
+		// An implicit binary: each watch entry's reason names the other
+		// watched literal, and no arena record exists.
+		s.binWatches[out[0].Not()] = append(s.binWatches[out[0].Not()], binWatcher{out[1], binRef(out[0])})
+		s.binWatches[out[1].Not()] = append(s.binWatches[out[1].Not()], binWatcher{out[0], binRef(out[1])})
+		s.binaries++
 		return nil
 	}
 	c := s.alloc(out, 0)
@@ -559,6 +677,7 @@ func (s *Solver) propagate() cref {
 			switch assign[bw.other] {
 			case lFalse:
 				s.qhead = len(s.trail)
+				s.binConfl = bw.other
 				return bw.c
 			case lUndef:
 				s.uncheckedEnqueue(bw.other, bw.c)
@@ -627,8 +746,8 @@ func (s *Solver) varBump(v int) {
 
 func (s *Solver) varDecayActivity() { s.varInc /= s.varDecay }
 
-// claBump bumps any clause's activity, problem clauses included; only
-// learnt activities are rescaled, as only they are ever compared.
+// claBump bumps a learnt clause's activity. Problem clauses have none
+// that anything reads, so analyze bumps learnt clauses alone.
 func (s *Solver) claBump(c cref) {
 	a := s.act(c) + s.claInc
 	s.setAct(c, a)
@@ -671,9 +790,12 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	idx := len(s.trail) - 1
 	toClear := s.toClear[:0]
 
+	with := s.binConfl
 	for {
-		s.claBump(confl)
-		for _, w := range s.lits(confl) {
+		if confl&binTag == 0 && s.arena[confl+1]&learntBit != 0 {
+			s.claBump(confl)
+		}
+		for _, w := range s.clause(confl, with) {
 			q := Lit(w)
 			if p >= 0 && q == p {
 				continue
@@ -698,7 +820,7 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 		idx--
 		v := p.Var()
 		s.seen[v] = false
-		confl = s.reason[v]
+		confl, with = s.reason[v], p
 		pathC--
 		if pathC == 0 {
 			break
@@ -762,7 +884,7 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 				core = append(core, s.trail[i])
 			}
 		} else {
-			for _, w := range s.lits(s.reason[v]) {
+			for _, w := range s.clause(s.reason[v], s.trail[i]) {
 				if q := Lit(w); q.Var() != v && s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -787,7 +909,7 @@ func (s *Solver) redundant(l Lit) bool {
 	if r == crefUndef {
 		return false
 	}
-	for _, w := range s.lits(r) {
+	for _, w := range s.clause(r, l.Not()) {
 		q := Lit(w)
 		if q.Var() == l.Var() {
 			continue
@@ -1005,7 +1127,7 @@ func (s *Solver) SolveAssume(lim Limits, assumptions ...Lit) Status {
 		Delta:    s.stats.Sub(before),
 		Total:    s.stats,
 		LearntDB: len(s.learnts),
-		Clauses:  len(s.clauses),
+		Clauses:  s.NumClauses(),
 	}
 	for i := range ss.LBDHist {
 		ss.LBDHist[i] = s.lbdHist[i] - histBefore[i]
