@@ -208,7 +208,9 @@ func byName(recs []obsv.Record) {
 
 // byCandidate prints one row per (grid, orientation, engine) LM attempt
 // group: outcomes, CEGAR iterations, clause volume, and the SAT conflicts
-// its SatSolve descendants report.
+// its SatSolve descendants report. Speculative attempts the search threw
+// away (Candidate spans with speculative=discarded) stay out of the rows
+// and are summed on a line of their own.
 func byCandidate(recs []obsv.Record) {
 	byID := make(map[uint64]obsv.Record, len(recs))
 	for _, r := range recs {
@@ -241,7 +243,11 @@ func byCandidate(recs []obsv.Record) {
 		durNS     int64
 	}
 	groups := map[string]*agg{}
+	discarded := &agg{key: "discarded"}
 	group := func(r obsv.Record) *agg {
+		if r.Attrs["speculative"] == "discarded" {
+			return discarded
+		}
 		key := fmt.Sprintf("%v %v %v",
 			r.Attrs["grid"], r.Attrs["orient"], r.Attrs["engine"])
 		a := groups[key]
@@ -273,7 +279,7 @@ func byCandidate(recs []obsv.Record) {
 			}
 		}
 	}
-	if len(groups) == 0 {
+	if len(groups) == 0 && discarded.n == 0 {
 		fmt.Println("no Candidate spans in trace")
 		return
 	}
@@ -290,6 +296,10 @@ func byCandidate(recs []obsv.Record) {
 			report.Count(a.clauses), report.Count(a.conflicts), dur(a.durNS))
 	}
 	fmt.Print(t.String())
+	if discarded.n > 0 {
+		fmt.Printf("discarded speculative attempts: %d, %d iters, %s conflicts, %s\n",
+			discarded.n, discarded.iters, report.Count(discarded.conflicts), dur(discarded.durNS))
+	}
 }
 
 // attrInt reads a numeric attribute; JSON decoding hands ints back as

@@ -76,27 +76,54 @@ func SolveLMCegar(target, targetDual cube.Cover, g lattice.Grid, opt Options) (R
 	if opt.Limits.Timeout > 0 {
 		deadline = time.Now().Add(opt.Limits.Timeout)
 	}
-	var res Result
-	sawUnknown := false
-	for _, a := range attempts {
-		// One persistent assumption-based solver per (cover, orientation),
-		// shared across every candidate grid probed on this pool.
-		r, err := pool.engine(a.cover, a.dual, opt).solveGrid(target, targetTab, g, opt, deadline)
-		if err != nil {
-			return r, err
-		}
-		if r.Status == sat.Sat {
-			return r, nil
-		}
-		res = r
-		if r.Status == sat.Unknown {
-			sawUnknown = true
-		}
+	// The orientations are tried in order; the second runs only when the
+	// first is not Sat. It may start early, beside the first (overlap).
+	// The first counts in solving from before the overlap is armed until
+	// it is known whether the helper started, so the CPU gate sees it
+	// throughout and no helper starts once the first has finished.
+	solving.Add(1)
+	var second *overlap
+	if len(attempts) == 2 {
+		second = startOverlap(pool, attempts[1], target, targetTab, g, opt, deadline)
 	}
-	if sawUnknown {
-		res.Status = sat.Unknown
+	res, err := pool.solve(attempts[0], target, targetTab, g, opt, deadline)
+	overlapped := second.started()
+	solving.Add(-1)
+	if err != nil || res.Status == sat.Sat {
+		if overlapped {
+			second.discard()
+		}
+		return res, err
 	}
-	return res, nil
+	if len(attempts) == 1 {
+		return res, nil
+	}
+	var r Result
+	if overlapped {
+		r, err = second.adopt(opt.Limits.Interrupt)
+	} else {
+		solving.Add(1)
+		r, err = pool.solve(attempts[1], target, targetTab, g, opt, deadline)
+		solving.Add(-1)
+	}
+	if err != nil || r.Status == sat.Sat {
+		return r, err
+	}
+	if res.Status == sat.Unknown {
+		r.Status = sat.Unknown
+	}
+	return r, nil
+}
+
+// solve runs one orientation on the pool's own engine, one persistent
+// assumption-based solver per (cover, orientation) shared across every
+// candidate grid probed on this pool, and commits its counters.
+func (p *SharedPool) solve(a cegarAttempt, target cube.Cover, targetTab *truth.Table,
+	g lattice.Grid, opt Options, deadline time.Time) (Result, error) {
+	var t tally
+	r, err := p.engine(a.cover, a.dual, opt).solveGrid(target, targetTab, g, opt, deadline, &t)
+	t.commit("")
+	return r, err
 }
 
 // cegarAttempt is one orientation of the refinement engine: the cover

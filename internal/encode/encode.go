@@ -404,7 +404,8 @@ func SolveLM(target, targetDual cube.Cover, g lattice.Grid, opt Options) (Result
 		b, e := build(a.cover, g, a.dual, opt)
 		s = b.SolverFrom()
 		b.ReleaseClauses() // the solver holds its own copy now
-		cand, setSpan := startCandidate(opt.Span, g, a.dual, "monolithic", s)
+		var t tally
+		cand, setSpan := startCandidate(opt.Span, g, a.dual, "monolithic", s, &t)
 		solveSpan := cand.Child("SatSolve")
 		setSpan(solveSpan)
 		st := s.Solve(opt.Limits)
@@ -419,10 +420,8 @@ func SolveLM(target, targetDual cube.Cover, g lattice.Grid, opt Options) (Result
 			AddedClauses:   b.NumClauses(),
 			RebuiltClauses: b.NumClauses(),
 		}
-		mClausesAdded.Add(int64(res.AddedClauses))
-		mClausesRebld.Add(int64(res.RebuiltClauses))
-		noteStatus(cand, res)
-		cand.End()
+		noteStatus(cand, res, &t)
+		t.commit("")
 		if st == sat.Sat {
 			break
 		}

@@ -44,23 +44,116 @@ var (
 	mLearntDBGauge  = obsv.Default.Gauge("janus_sat_learnt_db_size")
 	hLBD            = obsv.Default.Histogram("janus_sat_lbd")
 	hConflicts      = obsv.Default.Histogram("janus_sat_conflicts_per_solve")
+	// Overlapped second orientations (overlap.go): copies whose work the
+	// search adopted, copies it threw away because the first orientation
+	// answered Sat (or failed), and the SAT conflicts those spent. Only
+	// adopted work reaches the counters above.
+	mOverlapAdopted   = obsv.Default.Counter("janus_encode_speculations_adopted_total")
+	mOverlapDiscarded = obsv.Default.Counter("janus_encode_speculations_discarded_total")
+	mOverlapConflicts = obsv.Default.Counter("janus_encode_speculation_discarded_conflicts_total")
 )
 
-// startCandidate opens the Candidate(m×n,orient) span for one LM attempt
-// and installs the per-Solve observer on the solver: every Solve call
-// feeds the registry and, when tracing, the current SatSolve span. The
-// returned setSpan rebinds the span the observer writes into (the CEGAR
-// loop points it at each iteration's SatSolve child).
-func startCandidate(parent *obsv.Span, g lattice.Grid, dual bool, engine string, s *sat.Solver) (cand *obsv.Span, setSpan func(*obsv.Span)) {
+// tally holds the registry updates of one LM attempt, and its Candidate
+// span, until the attempt is settled. An attempt on the search's own path
+// commits as it ends; an overlapped second orientation commits only when
+// the search adopts its work and otherwise discards, so the registry
+// counts exactly the work a sequential search does.
+type tally struct {
+	cand     *obsv.Span
+	status   sat.Status
+	iters    int64
+	entries  int64
+	added    int64
+	rebuilt  int64
+	reused   int64
+	transfer int64
+	filtered int64
+	pruned   int64
+	core     int64 // final-conflict assumption core of an Unsat answer
+	hasCore  bool
+	solves   int64
+	solveNS  int64
+	work     sat.Stats // summed over the attempt's Solve calls
+	perSolve []int64   // conflicts of each Solve call
+	lbd      [sat.LBDBuckets]int64
+	learntDB int64
+}
+
+// commit folds the attempt into the registry and ends its Candidate span,
+// stamped speculative=verdict when verdict is not empty.
+func (t *tally) commit(verdict string) {
+	mCandidates.Inc()
+	switch t.status {
+	case sat.Sat:
+		mCandSat.Inc()
+	case sat.Unsat:
+		mCandUnsat.Inc()
+	default:
+		mCandUnknown.Inc()
+	}
+	mCegarIters.Add(t.iters)
+	mCegarEntries.Add(t.entries)
+	mClausesAdded.Add(t.added)
+	mClausesRebld.Add(t.rebuilt)
+	mSharedReused.Add(t.reused)
+	mSharedTransfer.Add(t.transfer)
+	mSharedFiltered.Add(t.filtered)
+	mSharedPruned.Add(t.pruned)
+	if t.hasCore {
+		hAssumeCore.Observe(t.core)
+	}
+	mSolves.Add(t.solves)
+	mSolveNS.Add(t.solveNS)
+	mConflicts.Add(t.work.Conflicts)
+	mDecisions.Add(t.work.Decisions)
+	mPropagations.Add(t.work.Propagations)
+	mRestarts.Add(t.work.Restarts)
+	mLearnts.Add(t.work.Learnts)
+	mRemoved.Add(t.work.Removed)
+	mReductions.Add(t.work.Reductions)
+	if t.solves > 0 {
+		mLearntDBGauge.Set(t.learntDB)
+	}
+	for _, c := range t.perSolve {
+		hConflicts.Observe(c)
+	}
+	for lbd, n := range t.lbd {
+		hLBD.ObserveN(int64(lbd), n)
+	}
+	t.end(verdict)
+}
+
+// discard counts a thrown-away speculative attempt apart from the search's
+// work and ends its Candidate span.
+func (t *tally) discard() {
+	mOverlapDiscarded.Inc()
+	mOverlapConflicts.Add(t.work.Conflicts)
+	t.end("discarded")
+}
+
+func (t *tally) end(verdict string) {
+	if verdict != "" {
+		t.cand.SetStr("speculative", verdict)
+	}
+	t.cand.End()
+}
+
+// startCandidate opens the Candidate(m×n,orient) span for one LM attempt,
+// held by t until the attempt is settled, and installs the per-Solve
+// observer on the solver: every Solve call feeds t and, when tracing, the
+// current SatSolve span. The returned setSpan rebinds the span the
+// observer writes into (the CEGAR loop points it at each iteration's
+// SatSolve child).
+func startCandidate(parent *obsv.Span, g lattice.Grid, dual bool, engine string, s *sat.Solver, t *tally) (cand *obsv.Span, setSpan func(*obsv.Span)) {
 	cand = parent.Child("Candidate")
 	cand.SetStr("grid", fmt.Sprintf("%dx%d", g.M, g.N))
 	cand.SetStr("orient", orientName(dual))
 	cand.SetStr("engine", engine)
-	mCandidates.Inc()
+	t.cand = cand
 
 	var cur *obsv.Span
 	s.SetObserver(func(ss sat.SolveStats) {
-		recordSolve(cur, ss)
+		recordSolve(cur, ss, t)
 	})
 	return cand, func(sp *obsv.Span) { cur = sp }
 }
@@ -72,22 +165,16 @@ func orientName(dual bool) string {
 	return "primal"
 }
 
-// recordSolve folds one Solve call's statistics into the registry and,
-// when tracing, into its SatSolve span.
-func recordSolve(sp *obsv.Span, ss sat.SolveStats) {
-	mSolves.Inc()
-	mSolveNS.Add(ss.Dur.Nanoseconds())
-	mConflicts.Add(ss.Delta.Conflicts)
-	mDecisions.Add(ss.Delta.Decisions)
-	mPropagations.Add(ss.Delta.Propagations)
-	mRestarts.Add(ss.Delta.Restarts)
-	mLearnts.Add(ss.Delta.Learnts)
-	mRemoved.Add(ss.Delta.Removed)
-	mReductions.Add(ss.Delta.Reductions)
-	mLearntDBGauge.Set(int64(ss.LearntDB))
-	hConflicts.Observe(ss.Delta.Conflicts)
+// recordSolve folds one Solve call's statistics into the attempt's tally
+// and, when tracing, into its SatSolve span.
+func recordSolve(sp *obsv.Span, ss sat.SolveStats, t *tally) {
+	t.solves++
+	t.solveNS += ss.Dur.Nanoseconds()
+	t.work = t.work.Add(ss.Delta)
+	t.learntDB = int64(ss.LearntDB)
+	t.perSolve = append(t.perSolve, ss.Delta.Conflicts)
 	for lbd, n := range ss.LBDHist {
-		hLBD.ObserveN(int64(lbd), n)
+		t.lbd[lbd] += n
 	}
 
 	sp.SetStr("status", ss.Status.String())
@@ -103,17 +190,13 @@ func recordSolve(sp *obsv.Span, ss sat.SolveStats) {
 	sp.SetInt("propagations_total", ss.Total.Propagations)
 }
 
-// noteStatus counts one finished LM attempt by outcome and stamps the
-// Candidate span with the result-level counters.
-func noteStatus(cand *obsv.Span, r Result) {
-	switch r.Status {
-	case sat.Sat:
-		mCandSat.Inc()
-	case sat.Unsat:
-		mCandUnsat.Inc()
-	default:
-		mCandUnknown.Inc()
-	}
+// noteStatus records one finished LM attempt's outcome and clause volume
+// in its tally and stamps the Candidate span with the result-level
+// counters.
+func noteStatus(cand *obsv.Span, r Result, t *tally) {
+	t.status = r.Status
+	t.added += int64(r.AddedClauses)
+	t.rebuilt += int64(r.RebuiltClauses)
 	cand.SetStr("status", r.Status.String())
 	cand.SetInt("vars", int64(r.Vars))
 	cand.SetInt("clauses", int64(r.Clauses))

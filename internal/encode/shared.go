@@ -2,6 +2,7 @@ package encode
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -26,11 +27,12 @@ import (
 // into every skeleton, so a truth-table point one candidate stumbled over
 // never has to be rediscovered by another.
 //
-// A pool is safe for concurrent use; candidates that share an engine
-// serialize on it (distinct orientations — and distinct covers, as in the
-// DS sub-syntheses — still run in parallel). Candidates also share the
-// engine's learnt clauses, so under a conflict budget the answers depend
-// on the order concurrent candidates reach it.
+// A pool is safe for concurrent use, but it is meant to have one user: the
+// synthesis that opened it, plus the one goroutine SolveLMCegar may start
+// beside it for a call's second orientation (see overlap). That goroutine
+// copies the second orientation's engine while nothing else uses it; a
+// second synthesis on the same pool would make engine states, and so the
+// answers under a conflict budget, depend on scheduling.
 type SharedPool struct {
 	mu      sync.Mutex
 	engines map[poolKey]*sharedEngine
@@ -79,6 +81,35 @@ func (p *SharedPool) engine(enc cube.Cover, dual bool, opt Options) *sharedEngin
 	if e, ok := p.engines[k]; ok {
 		return e
 	}
+	e := newSharedEngine(enc, dual, opt)
+	p.engines[k] = e
+	return e
+}
+
+// copyOf returns a private engine for (enc, dual) to solve on beside the
+// pool's user, with its key for install: a clone of the pool's engine, or
+// a new engine the pool does not hold when it has none yet.
+func (p *SharedPool) copyOf(enc cube.Cover, dual bool, opt Options) (*sharedEngine, poolKey) {
+	k := keyOf(enc, dual, opt)
+	p.mu.Lock()
+	e, ok := p.engines[k]
+	p.mu.Unlock()
+	if !ok {
+		return newSharedEngine(enc, dual, opt), k
+	}
+	return e.clone(), k
+}
+
+// install makes e the pool's engine for k, in place of the one it was
+// copied from.
+func (p *SharedPool) install(k poolKey, e *sharedEngine) {
+	p.mu.Lock()
+	p.engines[k] = e
+	p.mu.Unlock()
+}
+
+// newSharedEngine returns an engine for (enc, dual) holding no grid yet.
+func newSharedEngine(enc cube.Cover, dual bool, opt Options) *sharedEngine {
 	e := &sharedEngine{
 		s:      sat.New(0),
 		enc:    enc,
@@ -101,8 +132,38 @@ func (p *SharedPool) engine(enc cube.Cover, dual bool, opt Options) *sharedEngin
 			e.noteEntry(t)
 		}
 	}
-	p.engines[k] = e
 	return e
+}
+
+// clone returns an independent copy of the engine: a clone of its solver,
+// and of every skeleton and entry set over that clone, so that solving on
+// the copy does exactly what solving on the engine would. The cover, its
+// table, the TL set, the path lists and the mapping variables are
+// read-only and shared.
+func (e *sharedEngine) clone() *sharedEngine {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	c := &sharedEngine{
+		s:          e.s.Clone(),
+		enc:        e.enc,
+		encTab:     e.encTab,
+		tl:         e.tl,
+		dual:       e.dual,
+		opt:        e.opt,
+		grids:      make(map[lattice.Grid]*gridSkeleton, len(e.grids)),
+		entryOrder: slices.Clone(e.entryOrder),
+		entrySet:   maps.Clone(e.entrySet),
+		lastGrid:   e.lastGrid,
+		haveLast:   e.haveLast,
+	}
+	for g, sk := range e.grids {
+		csk := &gridSkeleton{s: c.s, act: sk.act, entries: maps.Clone(sk.entries), clauses: sk.clauses}
+		enc := *sk.enc
+		enc.out, enc.buf = csk, nil
+		csk.enc = &enc
+		c.grids[g] = csk
+	}
+	return c
 }
 
 // sharedEngine is one persistent assumption-based solver holding the
@@ -178,7 +239,7 @@ func (e *sharedEngine) noteEntry(t uint64) {
 // speed-only: the skeleton stays a relaxation of the full LM problem, so
 // Unsat remains definitive and a dropped entry that matters is
 // rediscovered by this candidate's own refinement.
-func (e *sharedEngine) skeleton(g lattice.Grid, limit int) (sk *gridSkeleton, reused bool, transferred, filtered int) {
+func (e *sharedEngine) skeleton(g lattice.Grid, limit int, t *tally) (sk *gridSkeleton, reused bool, transferred, filtered int) {
 	sk, reused = e.grids[g]
 	if !reused {
 		sk = &gridSkeleton{s: e.s, entries: make(map[uint64]bool)}
@@ -198,18 +259,18 @@ func (e *sharedEngine) skeleton(g lattice.Grid, limit int) (sk *gridSkeleton, re
 		keep = missing[len(missing)-limit:]
 		filtered = len(missing) - limit
 	}
-	for _, t := range keep {
-		e.addEntry(sk, t)
+	for _, entry := range keep {
+		e.addEntry(sk, entry, t)
 	}
 	return sk, reused, sk.clauses - before, filtered
 }
 
-// addEntry writes one truth-table entry of the encoded function into a
+// addEntry writes truth-table entry tt of the encoded function into a
 // grid's skeleton.
-func (e *sharedEngine) addEntry(sk *gridSkeleton, t uint64) {
-	sk.enc.entry(t, e.encTab.Get(t), e.opt)
-	sk.entries[t] = true
-	mCegarEntries.Inc()
+func (e *sharedEngine) addEntry(sk *gridSkeleton, tt uint64, t *tally) {
+	sk.enc.entry(tt, e.encTab.Get(tt), e.opt)
+	sk.entries[tt] = true
+	t.entries++
 }
 
 // assumptions builds the call's assumption vector: the probed grid's
@@ -234,9 +295,11 @@ func (e *sharedEngine) assumptions(sk *gridSkeleton) []sat.Lit {
 // solveGrid runs the counterexample-guided refinement for one candidate
 // grid on the engine's solver; it is the only refinement loop. target and
 // targetTab describe f (what the decoded assignment must implement); the
-// engine encodes enc, which is f or f^D depending on orientation.
+// engine encodes enc, which is f or f^D depending on orientation. The
+// attempt's registry updates and its Candidate span go to t, which the
+// caller settles.
 func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
-	g lattice.Grid, opt Options, deadline time.Time) (res Result, err error) {
+	g lattice.Grid, opt Options, deadline time.Time, t *tally) (res Result, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
@@ -254,7 +317,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 	}
 	e.lastGrid, e.haveLast = g, true
 
-	sk, reused, transferred, filtered := e.skeleton(g, opt.cexTransferLimit())
+	sk, reused, transferred, filtered := e.skeleton(g, opt.cexTransferLimit(), t)
 	res = Result{
 		UsedDual:              e.dual,
 		TransferredCEXClauses: transferred,
@@ -263,23 +326,20 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 	}
 	if reused {
 		res.ReusedSolvers = 1
-		mSharedReused.Inc()
+		t.reused++
 	}
-	mSharedTransfer.Add(int64(transferred))
-	mSharedFiltered.Add(int64(filtered))
-	mSharedPruned.Add(int64(pruned))
+	t.transfer += int64(transferred)
+	t.filtered += int64(filtered)
+	t.pruned += int64(pruned)
 
-	cand, setSpan := startCandidate(opt.Span, g, e.dual, "shared", e.s)
+	cand, setSpan := startCandidate(opt.Span, g, e.dual, "shared", e.s, t)
 	defer func() {
 		res.AddedClauses = sk.clauses - clausesBefore
-		mClausesAdded.Add(int64(res.AddedClauses))
-		mClausesRebld.Add(int64(res.RebuiltClauses))
-		noteStatus(cand, res)
+		noteStatus(cand, res, t)
 		cand.SetInt("transferred_cex_clauses", int64(transferred))
 		cand.SetInt("transfer_filtered", int64(filtered))
 		cand.SetInt("learnts_pruned", int64(pruned))
 		cand.SetInt("reused", int64(res.ReusedSolvers))
-		cand.End()
 	}()
 
 	for {
@@ -293,7 +353,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 		iterSpan.SetInt("iter", int64(res.CegarIters))
 		res.CegarIters++
 		res.RebuiltClauses += sk.clauses
-		mCegarIters.Inc()
+		t.iters++
 
 		lims := opt.Limits
 		if lims.MaxConflicts > 0 {
@@ -323,7 +383,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 			if st == sat.Unsat {
 				core := e.s.FinalCore()
 				res.AssumptionCoreSize = len(core)
-				hAssumeCore.Observe(int64(len(core)))
+				t.core, t.hasCore = int64(len(core)), true
 				iterSpan.SetInt("core", int64(len(core)))
 			}
 			iterSpan.SetStr("outcome", st.String())
@@ -354,7 +414,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 		iterSpan.SetStr("outcome", "counterexample")
 		iterSpan.SetInt("cex", int64(entry))
 		e.noteEntry(entry)
-		e.addEntry(sk, entry)
+		e.addEntry(sk, entry, t)
 		iterSpan.End()
 	}
 }

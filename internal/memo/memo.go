@@ -8,9 +8,9 @@
 // every build of an LM formulation used to re-enumerate Grid.Paths() and
 // re-evaluate truth.FromCover from scratch. Each cache here is a mutexed
 // LRU with a cost budget (not an entry count: a single wide lattice's
-// path list can outweigh a thousand small ones), safe under
-// core.Options.Workers > 1. Cached values are shared; callers must treat
-// them as immutable.
+// path list can outweigh a thousand small ones), safe under concurrent
+// syntheses and the overlapped second orientation of an LM call. Cached
+// values are shared; callers must treat them as immutable.
 package memo
 
 import (

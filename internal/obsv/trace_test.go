@@ -71,8 +71,8 @@ func TestSpanNestingAndAttrs(t *testing.T) {
 	}
 }
 
-// TestSpanConcurrent drives one tracer from many goroutines (the
-// Workers>1 shape: one shared parent, per-goroutine subtrees). Run with
+// TestSpanConcurrent drives one tracer from many goroutines (the shape of
+// an overlapped LM call: one shared parent, per-goroutine subtrees). Run with
 // -race this is the data-race regression test for Tracer and Span.
 func TestSpanConcurrent(t *testing.T) {
 	var buf bytes.Buffer
@@ -154,6 +154,7 @@ func TestValidateTraceRejects(t *testing.T) {
 		"missing parent":   `{"span":"S","id":1,"parent":9,"start":"2026-01-01T00:00:00Z","end":"2026-01-01T00:00:00Z","dur_ns":0}` + "\n",
 		"bad duration":     `{"span":"S","id":1,"start":"2026-01-01T00:00:00Z","end":"2026-01-01T00:00:01Z","dur_ns":7}` + "\n",
 		"end before start": `{"span":"S","id":1,"start":"2026-01-01T00:00:01Z","end":"2026-01-01T00:00:00Z","dur_ns":-1000000000}` + "\n",
+		"bad speculative":  `{"span":"Candidate","id":1,"start":"2026-01-01T00:00:00Z","end":"2026-01-01T00:00:00Z","dur_ns":0,"attrs":{"speculative":"maybe"}}` + "\n",
 		"duplicate id": `{"span":"S","id":1,"start":"2026-01-01T00:00:00Z","end":"2026-01-01T00:00:00Z","dur_ns":0}` + "\n" +
 			`{"span":"T","id":1,"start":"2026-01-01T00:00:00Z","end":"2026-01-01T00:00:00Z","dur_ns":0}` + "\n",
 	}
@@ -185,5 +186,17 @@ func TestTraceRoundTrip(t *testing.T) {
 		if _, ok := raw[key]; !ok {
 			t.Fatalf("record missing %q: %v", key, raw)
 		}
+	}
+
+	// The verdicts of speculative LM attempts validate.
+	var spec bytes.Buffer
+	st := NewTracer(&spec)
+	for _, verdict := range []string{"adopted", "discarded"} {
+		cand := Start(st, nil, "Candidate")
+		cand.SetStr("speculative", verdict)
+		cand.End()
+	}
+	if _, err := ValidateTrace(&spec); err != nil {
+		t.Fatalf("speculative verdicts: %v", err)
 	}
 }

@@ -33,8 +33,10 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 
 // ValidateTrace checks a JSONL trace against the span schema: every line
 // is a Record with a non-empty name, a unique non-zero id, end ≥ start, a
-// consistent duration, and a parent id that occurs in the trace (0 marks
-// a root; at least one root must exist). It returns the span count.
+// consistent duration, a speculative attribute (an LM attempt run beside
+// the search) only as "adopted" or "discarded", and a parent id that
+// occurs in the trace (0 marks a root; at least one root must exist). It
+// returns the span count.
 func ValidateTrace(r io.Reader) (int, error) {
 	recs, err := ReadTrace(r)
 	if err != nil {
@@ -66,6 +68,10 @@ func ValidateRecords(recs []Record) error {
 		if rec.DurNS != rec.End.Sub(rec.Start).Nanoseconds() {
 			return fmt.Errorf("obsv: span %q (id %d) dur_ns %d != end-start %d",
 				rec.Span, rec.ID, rec.DurNS, rec.End.Sub(rec.Start).Nanoseconds())
+		}
+		if v, ok := rec.Attrs["speculative"]; ok && v != "adopted" && v != "discarded" {
+			return fmt.Errorf("obsv: span %q (id %d) has speculative=%v, want adopted or discarded",
+				rec.Span, rec.ID, v)
 		}
 	}
 	roots := 0
