@@ -7,7 +7,7 @@
 //
 //	janusd [-addr :7151] [-workers N] [-queue N] [-cache-dir DIR]
 //	       [-cache-entries N] [-cache-bytes N] [-mem-entries N]
-//	       [-default-timeout D] [-max-timeout D] [-synth-workers N]
+//	       [-default-timeout D] [-max-timeout D]
 //	       [-drain-timeout D] [-debug-addr ADDR] [-log-level LEVEL]
 //	       [-trace-jobs N] [-trace-spans N] [-flight-entries N]
 //	       [-flight-slow-ms N] [-slo-synth-ms N] [-slo-jobs-ms N]
@@ -72,7 +72,6 @@ func main() {
 		memEnts    = flag.Int("mem-entries", 256, "max results kept in memory")
 		defTimeout = flag.Duration("default-timeout", 5*time.Minute, "budget for requests without timeout_ms")
 		maxTimeout = flag.Duration("max-timeout", time.Hour, "cap on any request budget")
-		synthW     = flag.Int("synth-workers", 1, "candidate-level parallelism inside each job")
 		drain      = flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget")
 		debugAddr  = flag.String("debug-addr", "", "extra listener for /metrics and /debug/pprof")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -111,8 +110,7 @@ func main() {
 		MemEntries: *memEnts, CacheDir: *cacheDir,
 		DiskEntries: *cacheEnts, DiskBytes: *cacheBytes,
 		DefaultTimeout: *defTimeout, MaxTimeout: *maxTimeout,
-		SynthWorkers: *synthW,
-		TraceJobs:    offIfZero(*traceJobs), TraceSpans: *traceSpans,
+		TraceJobs: offIfZero(*traceJobs), TraceSpans: *traceSpans,
 		FlightEntries:   offIfZero(*flightEnts),
 		SlowTrace:       time.Duration(offIfZero64(*flightSlow)) * time.Millisecond,
 		SynthSLO:        time.Duration(*sloSynth) * time.Millisecond,

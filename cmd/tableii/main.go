@@ -33,7 +33,6 @@ func main() {
 		methods   = flag.String("methods", "janus", "comma list: janus,exact,approx,heur,decomp")
 		conflicts = flag.Int64("conflicts", 200000, "SAT conflict budget per LM call (0 = unlimited)")
 		timeout   = flag.Duration("timeout", 0, "SAT time budget per LM call")
-		workers   = flag.Int("workers", 1, "parallel LM solves per search midpoint")
 		budget    = flag.Duration("budget", 0, "wall-clock budget per instance for JANUS (0 = unlimited)")
 		tracePath = flag.String("trace", "", "write a JSONL span trace of every JANUS run to this file")
 		progress  = flag.Bool("progress", false, "print live progress events of every JANUS run to stderr")
@@ -105,7 +104,7 @@ func main() {
 
 		var cells []string
 		if want["janus"] {
-			opt := janus.Options{Workers: *workers, Budget: *budget, Tracer: tracer}
+			opt := janus.Options{Budget: *budget, Tracer: tracer}
 			opt.Encode.Limits = lims
 			if *progress {
 				fmt.Fprintf(os.Stderr, "tableii: %s\n", inst.Name)

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/lattice-tools/janus/internal/bounds"
@@ -52,16 +51,6 @@ type Options struct {
 	// spends more solves shrinking the shared lattice than it saved by
 	// skipping the per-output DS bounds.
 	MFReduceBudget int
-	// Workers solves the candidate lattices of each search midpoint
-	// concurrently (the paper's machine ran 28 cores). Values below 2 keep
-	// the search sequential. Among the satisfiable candidates of a
-	// midpoint, the smallest area wins with ties broken by candidate
-	// order. The result is deterministic only without a SAT budget or
-	// with Workers below 2: concurrent candidates of one orientation
-	// serialize on one pool engine in scheduling order and share its
-	// learnt clauses, so under a conflict budget or timeout their
-	// verdicts can vary from run to run.
-	Workers int
 	// Budget bounds the whole synthesis by wall clock (the paper's
 	// analogue is the 6-hour CPU limit per instance). When it expires the
 	// search stops and the best verified incumbent is returned. Zero
@@ -387,8 +376,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 
 // lmStats accumulates per-LM-solve effort counters across the search:
 // decided problems, clause volumes, and CEGAR iterations. It is threaded
-// by pointer through the search helpers (single-goroutine each; the
-// parallel candidate path aggregates after its WaitGroup).
+// by pointer through the search helpers, all on the synthesis goroutine.
 type lmStats struct {
 	solved      int
 	added       int64
@@ -451,60 +439,27 @@ func (st *lmStats) noteResult(r Result) {
 	}
 }
 
-// solveCandidates decides the LM problem for each candidate, sequentially
-// or with opt.Workers goroutines, and returns the best (smallest-area,
-// then earliest) satisfiable assignment, folding solve effort into st.
+// solveCandidates decides the LM problem for each candidate in order and
+// returns the first satisfiable assignment, folding solve effort into st.
 // Candidate spans attach under the step span (nil when tracing is off).
 func solveCandidates(isop, dual cube.Cover, cands []lattice.Grid, opt Options, step *obsv.Span, st *lmStats) (*lattice.Assignment, error) {
 	eopt := opt.Encode
 	eopt.Span = step
-	if opt.Workers < 2 || len(cands) < 2 {
-		for _, g := range cands {
-			if opt.expired() {
-				break
-			}
-			st.probe(g)
-			r, err := encode.SolveLMCegar(isop, dual, g, eopt)
-			if err != nil {
-				return nil, err
-			}
-			st.note(r)
-			if r.Status == sat.Sat {
-				return r.Assignment, nil
-			}
+	for _, g := range cands {
+		if opt.expired() {
+			break
 		}
-		return nil, nil
-	}
-
-	results := make([]encode.Result, len(cands))
-	errs := make([]error, len(cands))
-	sem := make(chan struct{}, opt.Workers)
-	var wg sync.WaitGroup
-	for i, g := range cands {
-		wg.Add(1)
-		go func(i int, g lattice.Grid) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = encode.SolveLMCegar(isop, dual, g, eopt)
-		}(i, g)
-	}
-	wg.Wait()
-
-	var best *lattice.Assignment
-	for i, r := range results {
-		if errs[i] != nil {
-			return nil, errs[i]
+		st.probe(g)
+		r, err := encode.SolveLMCegar(isop, dual, g, eopt)
+		if err != nil {
+			return nil, err
 		}
-		st.probe(cands[i])
 		st.note(r)
 		if r.Status == sat.Sat {
-			if best == nil || r.Assignment.Size() < best.Size() {
-				best = r.Assignment
-			}
+			return r.Assignment, nil
 		}
 	}
-	return best, nil
+	return nil, nil
 }
 
 // candidates returns the maximal lattice shapes of area at most size: one

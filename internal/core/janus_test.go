@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -238,25 +240,46 @@ func TestSynthesizeElapsedAndCounters(t *testing.T) {
 	}
 }
 
+// TestParallelSearchDeterministic: under a conflict budget, a synthesis
+// run alone and two run side by side (which changes when, and whether,
+// LM calls overlap their second orientation) report the same search.
 func TestParallelSearchDeterministic(t *testing.T) {
 	f := cube.NewCover(5,
 		cube.FromLiterals([]int{2, 3}, nil),
 		cube.FromLiterals(nil, []int{2, 3}),
 		cube.FromLiterals([]int{0, 1, 4}, nil),
 		cube.FromLiterals(nil, []int{0, 1, 4}))
-	seq, err := Synthesize(f, Options{})
+	var opt Options
+	opt.Encode.Limits.MaxConflicts = 50
+	summary := func(r Result) string {
+		return fmt.Sprintf("size=%d lm=%d added=%d iters=%d grids=%v",
+			r.Size, r.LMSolved, r.ClausesAdded, r.CegarIters, r.GridsProbed)
+	}
+	seq, err := Synthesize(f, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Synthesize(f, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	var par [2]Result
+	var errs [2]error
+	for i := range par {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			par[i], errs[i] = Synthesize(f, opt)
+		}(i)
 	}
-	if seq.Size != par.Size {
-		t.Fatalf("parallel search changed the result: %d vs %d", par.Size, seq.Size)
-	}
-	if !par.Assignment.Realizes(par.ISOP) {
-		t.Fatal("parallel result unverified")
+	wg.Wait()
+	for i := range par {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got, want := summary(par[i]), summary(seq); got != want {
+			t.Fatalf("side-by-side run %d changed the search:\n got %s\nwant %s", i, got, want)
+		}
+		if !par[i].Assignment.Realizes(par[i].ISOP) {
+			t.Fatal("parallel result unverified")
+		}
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 )
 
 // TestSynthesizeConcurrentMemo runs two full Table II syntheses in
-// parallel, each itself fanning out over Workers goroutines, so the
-// process-wide memo caches see genuinely concurrent access from both
-// pipelines. Run under -race this is the regression test for the shared
+// parallel, so the process-wide memo caches see genuinely concurrent
+// access from both pipelines. Run under -race this is the regression test for the shared
 // path/table/cover caches; in either mode it asserts the caches are
 // actually exercised (hits observed) and the incremental counters are
 // threaded all the way up to core.Result.
@@ -20,7 +19,7 @@ func TestSynthesizeConcurrentMemo(t *testing.T) {
 	// Both instances need real LM solves (bounds alone don't close them),
 	// so the pool and the shared caches are genuinely exercised.
 	names := []string{"misex1_04", "mp2d_06"}
-	opt := Options{Workers: 4}
+	var opt Options
 
 	var wg sync.WaitGroup
 	results := make([]Result, len(names))

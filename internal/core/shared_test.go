@@ -29,10 +29,11 @@ func randomRawCover(rng *rand.Rand, n, k int) cube.Cover {
 	return raw
 }
 
-// TestSharedSearchWorkers exercises the pool under Workers>1: the
-// parallel candidate path funnels concurrent goroutines into the
-// per-engine mutex, which under -race is the regression test for the
-// pool. Without a SAT budget the answer must match the sequential run.
+// TestSharedSearchWorkers runs whole syntheses as concurrent workers,
+// each on its own pool, beside a sequential run of the same cover: the
+// engines must never cross streams, which under -race is the regression
+// test for the pools and the process-wide overlap gate. Without a SAT
+// budget every answer must match the sequential run.
 func TestSharedSearchWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 6; trial++ {
@@ -44,40 +45,28 @@ func TestSharedSearchWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Synthesize(raw, Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
+		var wg sync.WaitGroup
+		var errs [2]error
+		var par [2]Result
+		for i := range par {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				par[i], errs[i] = Synthesize(raw, Options{})
+			}(i)
 		}
-		if seq.Size != par.Size {
-			t.Fatalf("trial %d: sequential %d vs workers %d", trial, seq.Size, par.Size)
+		wg.Wait()
+		for i := range par {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if par[i].Size != seq.Size {
+				t.Fatalf("trial %d: sequential %d vs concurrent %d", trial, seq.Size, par[i].Size)
+			}
+			if par[i].Assignment == nil || !par[i].Assignment.Realizes(par[i].ISOP) {
+				t.Fatalf("trial %d: concurrent answer unverified", trial)
+			}
 		}
-		if par.Assignment == nil || !par.Assignment.Realizes(par.ISOP) {
-			t.Fatalf("trial %d: parallel shared answer unverified", trial)
-		}
-	}
-
-	// And two whole syntheses in parallel, each with Workers>1, each with
-	// its own pool: the engines must never cross streams.
-	var wg sync.WaitGroup
-	var errs [2]error
-	var sizes [2]int
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f := randomRawCover(rand.New(rand.NewSource(88)), 4, 3)
-			r, err := Synthesize(f, Options{Workers: 3})
-			errs[i], sizes[i] = err, r.Size
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < 2; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-	}
-	if sizes[0] != sizes[1] {
-		t.Fatalf("identical inputs diverged: %d vs %d", sizes[0], sizes[1])
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"github.com/lattice-tools/janus/internal/cube"
@@ -173,15 +174,27 @@ func TestTraceMetricsMonotoneCegar(t *testing.T) {
 	}
 }
 
-// TestTraceConcurrentWorkers runs a traced synthesis with parallel
-// candidate workers; the trace must still be schema-valid (unique ids,
-// resolvable parents) even though spans end concurrently. Run under -race
-// this also exercises the tracer's emit path for data races.
+// TestTraceConcurrentWorkers runs two traced syntheses as concurrent
+// workers into one tracer; the trace must still be schema-valid (unique
+// ids, resolvable parents) even though spans end concurrently. Run under
+// -race this also exercises the tracer's emit path for data races.
 func TestTraceConcurrentWorkers(t *testing.T) {
 	var buf bytes.Buffer
-	opt := Options{Tracer: obsv.NewTracer(&buf), Workers: 4}
-	if _, err := Synthesize(fig1(), opt); err != nil {
-		t.Fatal(err)
+	opt := Options{Tracer: obsv.NewTracer(&buf)}
+	var wg sync.WaitGroup
+	var errs [2]error
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = Synthesize(fig1(), opt)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	recs, err := obsv.ReadTrace(&buf)
 	if err != nil {

@@ -90,8 +90,8 @@ type ProgressEvent struct {
 }
 
 // ProgressSink receives progress events. Implementations are called
-// inline from the search loop (possibly from multiple goroutines when
-// Workers > 1) and must be cheap and non-blocking; hand off to a channel
+// inline from the search loop (possibly from several goroutines, when
+// syntheses share a sink) and must be cheap and non-blocking; hand off to a channel
 // or buffer instead of doing I/O when latency matters.
 type ProgressSink interface {
 	Progress(ProgressEvent)

@@ -222,7 +222,7 @@ func maxConflictsNorm(mc int64) int64 {
 }
 
 // coreOptions translates the request knobs into synthesis options.
-// Ctx and Workers are filled in by the worker.
+// Ctx and Deadline are filled in by the worker.
 func (p *parsedRequest) coreOptions() core.Options {
 	var opt core.Options
 	opt.Encode.Limits = sat.Limits{MaxConflicts: p.req.MaxConflicts}

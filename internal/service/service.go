@@ -54,9 +54,6 @@ type Config struct {
 	// MaxTimeout caps every request (default 1h).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// SynthWorkers is core.Options.Workers for each job: intra-synthesis
-	// candidate parallelism, on top of the job-level pool (default 1).
-	SynthWorkers int
 
 	// TraceJobs bounds how many finished jobs keep their full span trace
 	// retrievable via GET /v1/jobs/{id}/trace (default 64; negative
@@ -277,7 +274,7 @@ type job struct {
 	// traceCtx is the admitting request's inbound trace context (zero
 	// when none): the job's span tree roots under this remote parent so
 	// the front tier can stitch its spans and ours into one trace.
-	traceCtx obsv.TraceContext
+	traceCtx  obsv.TraceContext
 	p         *parsedRequest
 	bp        *parsedBatch // non-nil for batch jobs (then p is nil)
 	tenant    string       // the tenant queue this job is accounted to
@@ -310,8 +307,8 @@ func (j *job) fnKey() string {
 func NewServer(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
-		cfg:        cfg,
-		mem:        newMemCache(cfg.MemEntries),
+		cfg: cfg,
+		mem: newMemCache(cfg.MemEntries),
 		sched: newScheduler(cfg.QueueDepth, cfg.TenantDefaults, cfg.Tenants, tenantSLOCfg{
 			synth: cfg.TenantSynthSLO, firstMap: cfg.TenantFirstMappingSLO, target: cfg.SLOTarget,
 		}),
@@ -834,7 +831,6 @@ func (s *Server) run(j *job) {
 	started := time.Now()
 	opt := j.p.coreOptions()
 	opt.Ctx = ctx
-	opt.Workers = s.cfg.SynthWorkers
 	opt.Deadline = j.deadline
 	res, err := s.synth(j.p.cover, opt)
 	solve := time.Since(started)
@@ -995,7 +991,6 @@ func (s *Server) runBatch(j *job) {
 	}
 	opt := j.bp.coreOptions(s.cfg.BatchReduceBudget)
 	opt.Ctx = ctx
-	opt.Workers = s.cfg.SynthWorkers
 	opt.Deadline = j.deadline
 	mr, err := s.synthMulti(covers, opt, j.bp.reduce)
 	solve := time.Since(started)
