@@ -258,17 +258,20 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 
 	// Initial upper bounds.
 	boundsSpan, boundsDone := phase(prog, root, "Bounds", "bounds", mPhaseBoundNS)
-	plain := bounds.All(isop, dual, false)
-	improved := plain
-	if !opt.DisableImprovedBounds {
-		improved = bounds.All(isop, dual, true)
+	// One pass builds and verifies every construction; OUB is the smallest
+	// of the DP/PS/DPS trio among them.
+	all := bounds.All(isop, dual, !opt.DisableImprovedBounds)
+	for _, b := range all {
+		if b.Name == "DP" || b.Name == "PS" || b.Name == "DPS" {
+			res.OUB = b.Size()
+			break
+		}
 	}
-	if len(plain) == 0 || len(improved) == 0 {
+	if res.OUB == 0 {
 		boundsDone()
 		return Result{}, fmt.Errorf("%w: no verified upper bound", ErrUnsupported)
 	}
-	res.OUB = plain[0].Size()
-	best := improved[0]
+	best := all[0]
 	incumbent := best.Assignment
 	res.UBMethod = best.Name
 	boundsSpan.SetInt("oub", int64(res.OUB))
