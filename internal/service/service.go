@@ -767,12 +767,6 @@ func (s *Server) worker() {
 		} else {
 			s.run(j)
 		}
-		s.mu.Lock()
-		s.sched.complete(j.tenant)
-		// Completion may unblock an in-flight-capped tenant, another
-		// waiting worker, or the drain loop.
-		s.cond.Broadcast()
-		s.mu.Unlock()
 	}
 }
 
@@ -1076,12 +1070,18 @@ func (s *Server) unpackBatch(pb *parsedBatch, mr *core.MultiResult) {
 	}
 }
 
-// finishLocked publishes a terminal outcome: the key frees for new
-// submissions, waiters wake, and the job stays pollable within the
-// retention window.
+// finishLocked publishes a dispatched job's terminal outcome: its
+// tenant's in-flight slot returns, the key frees for new submissions,
+// waiters wake, and the job stays pollable within the retention window.
 func (s *Server) finishLocked(j *job, out *outcome) {
 	j.out = out
 	j.status = out.Status
+	// The slot returns before close(j.done) wakes the job's waiters, so a
+	// caller that reads /v1/stats after its response never sees its own
+	// job still in flight. Completion may also unblock an in-flight-capped
+	// tenant, another waiting worker, or the drain loop.
+	s.sched.complete(j.tenant)
+	s.cond.Broadcast()
 	delete(s.inflight, j.key)
 	s.doneOrder = append(s.doneOrder, j.id)
 	for len(s.doneOrder) > retainJobs {
