@@ -60,17 +60,9 @@ var (
 // counts exactly the work a sequential search does.
 type tally struct {
 	cand     *obsv.Span
-	status   sat.Status
-	iters    int64
-	entries  int64
-	added    int64
-	rebuilt  int64
-	reused   int64
-	transfer int64
-	filtered int64
-	pruned   int64
-	core     int64 // final-conflict assumption core of an Unsat answer
-	hasCore  bool
+	res      Result // the attempt's result, set as it ends
+	entries  int64  // truth-table entries written into skeletons
+	hasCore  bool   // res.AssumptionCoreSize is a core the solver reported
 	solves   int64
 	solveNS  int64
 	work     sat.Stats // summed over the attempt's Solve calls
@@ -82,8 +74,9 @@ type tally struct {
 // commit folds the attempt into the registry and ends its Candidate span,
 // stamped speculative=verdict when verdict is not empty.
 func (t *tally) commit(verdict string) {
+	r := t.res
 	mCandidates.Inc()
-	switch t.status {
+	switch r.Status {
 	case sat.Sat:
 		mCandSat.Inc()
 	case sat.Unsat:
@@ -91,16 +84,16 @@ func (t *tally) commit(verdict string) {
 	default:
 		mCandUnknown.Inc()
 	}
-	mCegarIters.Add(t.iters)
+	mCegarIters.Add(int64(r.CegarIters))
 	mCegarEntries.Add(t.entries)
-	mClausesAdded.Add(t.added)
-	mClausesRebld.Add(t.rebuilt)
-	mSharedReused.Add(t.reused)
-	mSharedTransfer.Add(t.transfer)
-	mSharedFiltered.Add(t.filtered)
-	mSharedPruned.Add(t.pruned)
+	mClausesAdded.Add(int64(r.AddedClauses))
+	mClausesRebld.Add(int64(r.RebuiltClauses))
+	mSharedReused.Add(int64(r.ReusedSolvers))
+	mSharedTransfer.Add(int64(r.TransferredCEXClauses))
+	mSharedFiltered.Add(int64(r.TransferFiltered))
+	mSharedPruned.Add(int64(r.PrunedLearnts))
 	if t.hasCore {
-		hAssumeCore.Observe(t.core)
+		hAssumeCore.Observe(int64(r.AssumptionCoreSize))
 	}
 	mSolves.Add(t.solves)
 	mSolveNS.Add(t.solveNS)
@@ -190,13 +183,10 @@ func recordSolve(sp *obsv.Span, ss sat.SolveStats, t *tally) {
 	sp.SetInt("propagations_total", ss.Total.Propagations)
 }
 
-// noteStatus records one finished LM attempt's outcome and clause volume
-// in its tally and stamps the Candidate span with the result-level
-// counters.
+// noteStatus records one finished LM attempt's result in its tally and
+// stamps the Candidate span with the result-level counters.
 func noteStatus(cand *obsv.Span, r Result, t *tally) {
-	t.status = r.Status
-	t.added += int64(r.AddedClauses)
-	t.rebuilt += int64(r.RebuiltClauses)
+	t.res = r
 	cand.SetStr("status", r.Status.String())
 	cand.SetInt("vars", int64(r.Vars))
 	cand.SetInt("clauses", int64(r.Clauses))

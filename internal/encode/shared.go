@@ -326,11 +326,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 	}
 	if reused {
 		res.ReusedSolvers = 1
-		t.reused++
 	}
-	t.transfer += int64(transferred)
-	t.filtered += int64(filtered)
-	t.pruned += int64(pruned)
 
 	cand, setSpan := startCandidate(opt.Span, g, e.dual, "shared", e.s, t)
 	defer func() {
@@ -353,7 +349,6 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 		iterSpan.SetInt("iter", int64(res.CegarIters))
 		res.CegarIters++
 		res.RebuiltClauses += sk.clauses
-		t.iters++
 
 		lims := opt.Limits
 		if lims.MaxConflicts > 0 {
@@ -383,7 +378,7 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 			if st == sat.Unsat {
 				core := e.s.FinalCore()
 				res.AssumptionCoreSize = len(core)
-				t.core, t.hasCore = int64(len(core)), true
+				t.hasCore = true
 				iterSpan.SetInt("core", int64(len(core)))
 			}
 			iterSpan.SetStr("outcome", st.String())
