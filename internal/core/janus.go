@@ -38,12 +38,6 @@ type Options struct {
 	DisableDS bool
 	// SkipMinimize treats the input cover as already being in ISOP form.
 	SkipMinimize bool
-	// MaxCells skips lattice candidates with more switches than this.
-	// Zero means the implementation limit of 64.
-	MaxCells int
-	// DSMinProducts is the smallest product count for which DS runs
-	// (default 4).
-	DSMinProducts int
 	// MFReduceBudget caps the LM solves SynthesizeMulti's shared
 	// row-reduction phase may spend (0 = unlimited). The reduction is
 	// opportunistic: when the budget runs out the best packing found so
@@ -103,19 +97,12 @@ func (o Options) expired() bool {
 	return !o.Deadline.IsZero() && time.Now().After(o.Deadline)
 }
 
-func (o Options) maxCells() int {
-	if o.MaxCells <= 0 || o.MaxCells > 64 {
-		return 64
-	}
-	return o.MaxCells
-}
+// maxCells caps candidate lattices at the implementation limit of 64
+// switches (one path mask word).
+const maxCells = 64
 
-func (o Options) dsMinProducts() int {
-	if o.DSMinProducts <= 0 {
-		return 4
-	}
-	return o.DSMinProducts
-}
+// dsMinProducts is the smallest product count for which DS runs.
+const dsMinProducts = 4
 
 // Result is the outcome of a synthesis run.
 type Result struct {
@@ -152,8 +139,8 @@ type Result struct {
 	TransferredCEX int64
 	// CEXFiltered totals the counterexample entries the pool's transfer
 	// quality filter declined to write; LearntsPruned the learnt clauses
-	// it shed on grid switches. Both are speed-only knobs — see
-	// encode.Options.CEXTransferLimit.
+	// it shed on grid switches. Both are speed-only (see the filter of
+	// encode.SharedPool).
 	CEXFiltered   int64
 	LearntsPruned int64
 	// GridsProbed lists the distinct lattice shapes ("MxN") whose LM
@@ -282,7 +269,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 
 	var st lmStats
 	if !opt.DisableDS && !opt.DisableImprovedBounds &&
-		len(isop.Cubes) >= opt.dsMinProducts() && !opt.expired() {
+		len(isop.Cubes) >= dsMinProducts && !opt.expired() {
 		// DS spends SAT effort on an upper bound only; under a wall-clock
 		// budget it gets at most a third so the dichotomic search keeps
 		// the lion's share.
@@ -325,7 +312,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		step.SetInt("lb", int64(lb))
 		step.SetInt("ub", int64(ub))
 		step.SetInt("mp", int64(mp))
-		cands := candidates(mp, lb, opt.maxCells())
+		cands := candidates(mp, lb, maxCells)
 		step.SetInt("candidates", int64(len(cands)))
 		best, err := solveCandidates(isop, dual, cands, opt, step, &st)
 		if err != nil {
@@ -469,9 +456,9 @@ func solveCandidates(isop, dual cube.Cover, cands []lattice.Grid, opt Options, s
 // grid (m, size/m) per row count m, skipping grids whose area falls below
 // the lower bound or above the cell limit, deduplicated and ordered
 // nearest-to-square first (deterministic).
-func candidates(size, lb, maxCells int) []lattice.Grid {
-	if size > maxCells {
-		size = maxCells
+func candidates(size, lb, limit int) []lattice.Grid {
+	if size > limit {
+		size = limit
 	}
 	seen := make(map[lattice.Grid]bool)
 	var gs []lattice.Grid
@@ -643,7 +630,7 @@ func fixedRowSearch(p *part, rows, lo, hi int, opt Options, st *lmStats) *lattic
 	}
 	var best *lattice.Assignment
 	for k := lo; k <= hi; k++ {
-		if rows*k > opt.maxCells() || opt.expired() {
+		if rows*k > maxCells || opt.expired() {
 			break
 		}
 		st.probe(lattice.Grid{M: rows, N: k})
@@ -735,7 +722,7 @@ func colsExcept(parts []*part, skip int) int {
 func trimCols(p *part, rows, hi int, opt Options, st *lmStats) *lattice.Assignment {
 	var best *lattice.Assignment
 	for k := hi; k >= 1; k-- {
-		if rows*k > opt.maxCells() {
+		if rows*k > maxCells {
 			continue
 		}
 		if opt.expired() {

@@ -57,10 +57,6 @@ type Options struct {
 	// DisableDegree drops the degree-matching and long-product constraints
 	// (ablation).
 	DisableDegree bool
-	// LongProductThreshold is the paper's empirical literal-count cutoff
-	// above which a product must be realized by an equally long lattice
-	// path. Zero means the default of 5.
-	LongProductThreshold int
 	// DisableSymmetry drops the mirror symmetry-breaking constraints
 	// (ablation). Reversing the rows or the columns of a lattice preserves
 	// its plate-to-plate connectivity function, so the encoding may demand
@@ -82,25 +78,6 @@ type Options struct {
 	// of its own, which then holds one grid. SolveLM and BuildCNF ignore
 	// it.
 	Shared *SharedPool
-	// CEXTransferLimit caps how many already-known counterexample entries
-	// the pool transfers into a grid skeleton per solve, most
-	// recent first; older entries are dropped and rediscovered on demand.
-	// The filter is speed-only: a skeleton holding fewer entries is a
-	// coarser relaxation of the same LM problem, so Unsat stays definitive
-	// and Sat is still verified by simulation — answers never change, only
-	// how much stale clause freight a shallow candidate pays for. Zero
-	// means DefaultCEXTransferLimit; negative disables the filter
-	// (transfer everything). SolveLM and BuildCNF ignore it.
-	CEXTransferLimit int
-	// SharedLearntLBD and SharedLearntSize gate the learnt clauses a
-	// pool engine keeps when it switches to a different candidate grid:
-	// learnts with LBD above SharedLearntLBD or more than SharedLearntSize
-	// literals are pruned (sat.Solver.PruneLearnts), shedding watch-list
-	// freight that mostly mentions the previous grid's activation literal.
-	// Zero means the defaults; negative keeps every learnt clause.
-	// SolveLM and BuildCNF ignore them.
-	SharedLearntLBD  int
-	SharedLearntSize int
 	// Limits bounds each SAT call.
 	Limits sat.Limits
 	// Span, when non-nil, is the parent trace span under which this LM
@@ -109,53 +86,9 @@ type Options struct {
 	Span *obsv.Span
 }
 
-func (o Options) longThreshold() int {
-	if o.LongProductThreshold <= 0 {
-		return 5
-	}
-	return o.LongProductThreshold
-}
-
-// Defaults of the pool's clause-quality filter. The transfer
-// limit keeps roughly the CEGAR working set of one candidate (a few dozen
-// entries converge on the paper's instances); the learnt gates mirror the
-// "keep the good half" spirit of the solver's own reduceDB but act at
-// grid-switch time, when the learnt database is most biased toward the
-// previous grid.
-const (
-	DefaultCEXTransferLimit = 24
-	DefaultSharedLearntLBD  = 6
-	DefaultSharedLearntSize = 30
-)
-
-// cexTransferLimit resolves the per-solve entry-transfer cap; -1 means
-// unlimited.
-func (o Options) cexTransferLimit() int {
-	if o.CEXTransferLimit == 0 {
-		return DefaultCEXTransferLimit
-	}
-	if o.CEXTransferLimit < 0 {
-		return -1
-	}
-	return o.CEXTransferLimit
-}
-
-// learntPrune resolves the grid-switch learnt gates; on is false when the
-// caller asked to keep everything.
-func (o Options) learntPrune() (maxLBD int32, maxSize int, on bool) {
-	if o.SharedLearntLBD < 0 || o.SharedLearntSize < 0 {
-		return 0, 0, false
-	}
-	maxLBD = int32(o.SharedLearntLBD)
-	if maxLBD == 0 {
-		maxLBD = DefaultSharedLearntLBD
-	}
-	maxSize = o.SharedLearntSize
-	if maxSize == 0 {
-		maxSize = DefaultSharedLearntSize
-	}
-	return maxLBD, maxSize, true
-}
+// longProductThreshold is the paper's empirical literal-count cutoff
+// above which a product must be realized by an equally long lattice path.
+const longProductThreshold = 5
 
 // Result reports the outcome of an LM solve.
 type Result struct {

@@ -72,7 +72,7 @@ func newGridEnc(out sink, enc cube.Cover, g lattice.Grid, dual bool, tl []target
 	}
 
 	if !opt.DisableDegree {
-		e.degreeConstraints(enc, opt)
+		e.degreeConstraints(enc)
 	}
 	if opt.StrictProducts {
 		e.strictProducts(enc)
@@ -264,7 +264,7 @@ func (e *gridEnc) facts(y []sat.Lit) {
 // must be realized by a maximum-length path whose cells map into the
 // product's literals; products longer than the threshold must use an
 // equally long path (cells may also map to constant 1).
-func (e *gridEnc) degreeConstraints(target cube.Cover, opt Options) {
+func (e *gridEnc) degreeConstraints(target cube.Cover) {
 	maxPath := 0
 	for _, path := range e.paths {
 		if path.Len() > maxPath {
@@ -272,12 +272,11 @@ func (e *gridEnc) degreeConstraints(target cube.Cover, opt Options) {
 		}
 	}
 	delta := target.Degree()
-	long := opt.longThreshold()
 	for _, q := range target.Cubes {
 		nl := q.NumLiterals()
 		if nl == delta && delta == maxPath {
 			e.realization(q, func(l int) bool { return l == delta }, false)
-		} else if nl > long {
+		} else if nl > longProductThreshold {
 			e.realization(q, func(l int) bool { return l >= nl }, true)
 		}
 	}

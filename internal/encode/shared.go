@@ -36,39 +36,64 @@ import (
 type SharedPool struct {
 	mu      sync.Mutex
 	engines map[poolKey]*sharedEngine
+	filter  filter // copied into every engine the pool makes
 }
+
+// filter is the pool's clause-quality filter. It is speed-only: a
+// skeleton holding fewer entries is a coarser relaxation of the same LM
+// problem, so Unsat stays definitive and Sat is still verified by
+// simulation, and a pruned learnt clause is implied by the formula.
+// Answers never change, only how much stale clause freight a candidate
+// pays for.
+type filter struct {
+	// transfer caps how many already-known counterexample entries enter a
+	// grid skeleton per solve, most recent first; older entries are
+	// dropped and rediscovered on demand. Negative transfers every entry.
+	transfer int
+	// On a switch to a different candidate grid, learnt clauses with an
+	// LBD above lbd or more than size literals are pruned
+	// (sat.Solver.PruneLearnts): they mostly mention the previous grid's
+	// activation literal. An lbd of 0 keeps every learnt clause.
+	lbd  int32
+	size int
+}
+
+// defaultFilter keeps roughly the CEGAR working set of one candidate (a
+// few dozen entries converge on the paper's instances); the learnt gates
+// mirror the "keep the good half" spirit of the solver's own reduceDB but
+// act at grid-switch time, when the learnt database is most biased
+// toward the previous grid.
+var defaultFilter = filter{transfer: 24, lbd: 6, size: 30}
 
 // NewSharedPool returns an empty pool. One pool per synthesis is the
 // intended scope: the engines hold solvers whose size grows with every
 // grid skeleton, so the pool should live exactly as long as the search
 // that amortizes them.
 func NewSharedPool() *SharedPool {
-	return &SharedPool{engines: make(map[poolKey]*sharedEngine)}
+	return &SharedPool{engines: make(map[poolKey]*sharedEngine), filter: defaultFilter}
 }
 
 // poolKey identifies one engine: the encoded cover, the orientation, and
 // the option fields that change the generated formula.
 type poolKey struct {
-	cover     string
-	dual      bool
-	facts     bool
-	degree    bool
-	symmetry  bool
-	fullTL    bool
-	strict    bool
-	longThres int
+	cover    string
+	dual     bool
+	facts    bool
+	degree   bool
+	symmetry bool
+	fullTL   bool
+	strict   bool
 }
 
 func keyOf(enc cube.Cover, dual bool, opt Options) poolKey {
 	return poolKey{
-		cover:     memo.CoverKey(enc),
-		dual:      dual,
-		facts:     !opt.DisableFacts,
-		degree:    !opt.DisableDegree,
-		symmetry:  !opt.DisableSymmetry,
-		fullTL:    opt.FullTL,
-		strict:    opt.StrictProducts,
-		longThres: opt.longThreshold(),
+		cover:    memo.CoverKey(enc),
+		dual:     dual,
+		facts:    !opt.DisableFacts,
+		degree:   !opt.DisableDegree,
+		symmetry: !opt.DisableSymmetry,
+		fullTL:   opt.FullTL,
+		strict:   opt.StrictProducts,
 	}
 }
 
@@ -81,7 +106,7 @@ func (p *SharedPool) engine(enc cube.Cover, dual bool, opt Options) *sharedEngin
 	if e, ok := p.engines[k]; ok {
 		return e
 	}
-	e := newSharedEngine(enc, dual, opt)
+	e := newSharedEngine(enc, dual, opt, p.filter)
 	p.engines[k] = e
 	return e
 }
@@ -95,7 +120,7 @@ func (p *SharedPool) copyOf(enc cube.Cover, dual bool, opt Options) (*sharedEngi
 	e, ok := p.engines[k]
 	p.mu.Unlock()
 	if !ok {
-		return newSharedEngine(enc, dual, opt), k
+		return newSharedEngine(enc, dual, opt, p.filter), k
 	}
 	return e.clone(), k
 }
@@ -109,7 +134,7 @@ func (p *SharedPool) install(k poolKey, e *sharedEngine) {
 }
 
 // newSharedEngine returns an engine for (enc, dual) holding no grid yet.
-func newSharedEngine(enc cube.Cover, dual bool, opt Options) *sharedEngine {
+func newSharedEngine(enc cube.Cover, dual bool, opt Options, f filter) *sharedEngine {
 	e := &sharedEngine{
 		s:      sat.New(0),
 		enc:    enc,
@@ -117,6 +142,7 @@ func newSharedEngine(enc cube.Cover, dual bool, opt Options) *sharedEngine {
 		tl:     buildTL(enc, opt.FullTL),
 		dual:   dual,
 		opt:    opt,
+		filter: f,
 		grids:  make(map[lattice.Grid]*gridSkeleton),
 	}
 	// Seed the shared entry set with one on- and one off-entry of the
@@ -150,6 +176,7 @@ func (e *sharedEngine) clone() *sharedEngine {
 		tl:         e.tl,
 		dual:       e.dual,
 		opt:        e.opt,
+		filter:     e.filter,
 		grids:      make(map[lattice.Grid]*gridSkeleton, len(e.grids)),
 		entryOrder: slices.Clone(e.entryOrder),
 		entrySet:   maps.Clone(e.entrySet),
@@ -176,6 +203,7 @@ type sharedEngine struct {
 	tl     []targetLit
 	dual   bool
 	opt    Options // formula-shaping fields only; Limits/Span come per call
+	filter filter
 
 	grids map[lattice.Grid]*gridSkeleton
 	// entryOrder is the shared CEGAR knowledge: every truth-table entry
@@ -310,14 +338,12 @@ func (e *sharedEngine) solveGrid(target cube.Cover, targetTab *truth.Table,
 	// Grid switch: before writing the new candidate, shed the learnt
 	// clauses whose quality says they mostly served the previous one.
 	pruned := 0
-	if e.haveLast && e.lastGrid != g {
-		if maxLBD, maxSize, on := opt.learntPrune(); on {
-			pruned = e.s.PruneLearnts(maxLBD, maxSize)
-		}
+	if e.haveLast && e.lastGrid != g && e.filter.lbd > 0 {
+		pruned = e.s.PruneLearnts(e.filter.lbd, e.filter.size)
 	}
 	e.lastGrid, e.haveLast = g, true
 
-	sk, reused, transferred, filtered := e.skeleton(g, opt.cexTransferLimit(), t)
+	sk, reused, transferred, filtered := e.skeleton(g, e.filter.transfer, t)
 	res = Result{
 		UsedDual:              e.dual,
 		TransferredCEXClauses: transferred,

@@ -183,7 +183,9 @@ func TestSharedFilterCounters(t *testing.T) {
 	f, d := isopPair(fig1())
 	g := lattice.Grid{M: 4, N: 2}
 
-	capped, err := SolveLMCegar(f, d, g, Options{Shared: NewSharedPool(), CEXTransferLimit: 1})
+	cappedPool := NewSharedPool()
+	cappedPool.filter.transfer = 1
+	capped, err := SolveLMCegar(f, d, g, Options{Shared: cappedPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,9 @@ func TestSharedFilterCounters(t *testing.T) {
 		t.Fatalf("cap 1 against 2 seeded entries filtered nothing: %+v", capped)
 	}
 
-	open, err := SolveLMCegar(f, d, g, Options{Shared: NewSharedPool(), CEXTransferLimit: -1})
+	openPool := NewSharedPool()
+	openPool.filter.transfer = -1
+	open, err := SolveLMCegar(f, d, g, Options{Shared: openPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +213,8 @@ func TestSharedFilterCounters(t *testing.T) {
 	// the infeasible 3x3 (a refutation that learns clauses) and back, with
 	// the prune forced aggressive, and check the counter threads through.
 	pool := NewSharedPool()
-	aggressive := Options{Shared: pool, SharedLearntLBD: 1, SharedLearntSize: 3}
+	pool.filter.lbd, pool.filter.size = 1, 3
+	aggressive := Options{Shared: pool}
 	if _, err := SolveLMCegar(f, d, lattice.Grid{M: 3, N: 3}, aggressive); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +231,8 @@ func TestSharedFilterCounters(t *testing.T) {
 
 	// With the filter disabled the counters must stay silent.
 	offPool := NewSharedPool()
-	off := Options{Shared: offPool, CEXTransferLimit: -1, SharedLearntLBD: -1}
+	offPool.filter = filter{transfer: -1}
+	off := Options{Shared: offPool}
 	if _, err := SolveLMCegar(f, d, lattice.Grid{M: 3, N: 3}, off); err != nil {
 		t.Fatal(err)
 	}
@@ -239,34 +245,6 @@ func TestSharedFilterCounters(t *testing.T) {
 	}
 }
 
-// TestFilterOptionResolvers pins the Options zero-value semantics: zero
-// means the calibrated defaults, negative disables.
-func TestFilterOptionResolvers(t *testing.T) {
-	if got := (Options{}).cexTransferLimit(); got != DefaultCEXTransferLimit {
-		t.Fatalf("zero cex limit resolves to %d, want %d", got, DefaultCEXTransferLimit)
-	}
-	if got := (Options{CEXTransferLimit: -3}).cexTransferLimit(); got != -1 {
-		t.Fatalf("negative cex limit resolves to %d, want -1 (unlimited)", got)
-	}
-	if got := (Options{CEXTransferLimit: 7}).cexTransferLimit(); got != 7 {
-		t.Fatalf("explicit cex limit resolves to %d, want 7", got)
-	}
-	lbd, size, on := (Options{}).learntPrune()
-	if !on || lbd != DefaultSharedLearntLBD || size != DefaultSharedLearntSize {
-		t.Fatalf("zero prune resolves to (%d,%d,%v)", lbd, size, on)
-	}
-	if _, _, on := (Options{SharedLearntLBD: -1}).learntPrune(); on {
-		t.Fatal("negative LBD budget must disable the prune")
-	}
-	if _, _, on := (Options{SharedLearntSize: -1}).learntPrune(); on {
-		t.Fatal("negative size budget must disable the prune")
-	}
-	lbd, size, on = (Options{SharedLearntLBD: 2, SharedLearntSize: 9}).learntPrune()
-	if !on || lbd != 2 || size != 9 {
-		t.Fatalf("explicit prune resolves to (%d,%d,%v)", lbd, size, on)
-	}
-}
-
 // TestPoolMatchesMonolithic is the per-candidate equivalence property of
 // the one LM engine. On 200 random covers of 3 to 6 inputs it walks a
 // seeded random sequence of candidate grids, revisits included, on one
@@ -275,19 +253,19 @@ func TestFilterOptionResolvers(t *testing.T) {
 // cover. Both are definitive per candidate: a pool skeleton holds a
 // subset of the monolithic formula's entries, so its Unsat is a
 // relaxation proof, and its Sat is verified by simulation. The filtered
-// run forces the clause-quality filter to its most aggressive settings,
-// which may only drop clauses a skeleton can rediscover.
+// run sets each pool's clause-quality filter to its most aggressive
+// settings, which may only drop clauses a skeleton can rediscover.
 func TestPoolMatchesMonolithic(t *testing.T) {
 	grids := []lattice.Grid{
 		{M: 1, N: 3}, {M: 3, N: 1}, {M: 2, N: 2}, {M: 2, N: 3}, {M: 3, N: 2},
 		{M: 2, N: 4}, {M: 4, N: 2}, {M: 3, N: 3},
 	}
 	for _, tc := range []struct {
-		name string
-		opt  Options
+		name   string
+		filter filter
 	}{
-		{"default", Options{}},
-		{"filtered", Options{CEXTransferLimit: 1, SharedLearntLBD: 1, SharedLearntSize: 3}},
+		{"default", defaultFilter},
+		{"filtered", filter{transfer: 1, lbd: 1, size: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(4242))
@@ -300,8 +278,8 @@ func TestPoolMatchesMonolithic(t *testing.T) {
 				}
 				covers++
 				d := minimize.Auto(f.Dual())
-				opt := tc.opt
-				opt.Shared = NewSharedPool()
+				opt := Options{Shared: NewSharedPool()}
+				opt.Shared.filter = tc.filter
 				for step := 0; step < 8; step++ {
 					g := grids[rng.Intn(len(grids))]
 					mono, err := SolveLM(f, d, g, Options{})

@@ -136,7 +136,6 @@ func (f *Front) instrument(endpoint string, lvl slog.Level, h http.HandlerFunc) 
 	}
 }
 
-
 // handleSynthesize routes a synthesis to its function key's owner, with
 // deterministic failover down the rendezvous rank and Retry-After-paced
 // retries on backpressure. When the key's owner changed since the last
@@ -708,7 +707,7 @@ func (f *Front) statsSnapshot() Stats {
 		Epoch: epoch, Backends: len(f.states), HealthyBackends: healthy,
 		Routed: f.nRouted.Load(), Failovers: f.nFailovers.Load(),
 		Retries429: f.nRetries.Load(), FillHints: f.nFillHints.Load(),
-		NoBackend: f.nNoBackend.Load(),
+		NoBackend:  f.nNoBackend.Load(),
 		TracedJobs: traced, TracesStitched: mTracesStitched.Value(),
 	}
 	return out

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"time"
 
 	"github.com/lattice-tools/janus/internal/core"
+	"github.com/lattice-tools/janus/internal/cube"
+	"github.com/lattice-tools/janus/internal/obsv"
 	"github.com/lattice-tools/janus/internal/pla"
 )
 
@@ -91,13 +93,9 @@ type BatchResultJSON struct {
 // the batch's options and budgets would produce — that equivalence is
 // what makes cache unpacking sound) plus the batch's own identity.
 type parsedBatch struct {
-	req    BatchRequest
+	ident
 	fns    []*parsedRequest
 	reduce bool
-	// fnKey is the budget-free batch identity a sharding front routes
-	// on; key adds the budget fields (the coalescing/cache identity).
-	fnKey string
-	key   string
 }
 
 // BatchKeyOf validates a batch request and returns its budget-free
@@ -133,7 +131,7 @@ func parseBatch(req BatchRequest) (*parsedBatch, error) {
 		return nil, fmt.Errorf("batch of %d functions exceeds the limit of %d",
 			len(fns), maxBatchFunctions)
 	}
-	pb := &parsedBatch{req: req, reduce: req.Reduce == nil || *req.Reduce}
+	pb := &parsedBatch{reduce: req.Reduce == nil || *req.Reduce}
 	for i, fn := range fns {
 		p, err := parseRequest(Request{
 			PLA: fn.PLA, Output: fn.Output,
@@ -144,9 +142,8 @@ func parseBatch(req BatchRequest) (*parsedBatch, error) {
 		}
 		pb.fns = append(pb.fns, p)
 	}
-	pb.fnKey = batchFnKey(pb.fns, pb.reduce)
-	pb.key = canonicalKey(pb.fnKey, Request{
-		MaxConflicts: req.MaxConflicts, TimeoutMS: req.TimeoutMS,
+	pb.ident = identOf(batchFnKey(pb.fns, pb.reduce), Request{
+		MaxConflicts: req.MaxConflicts, TimeoutMS: req.TimeoutMS, Async: req.Async,
 	})
 	return pb, nil
 }
@@ -182,9 +179,74 @@ func (pb *parsedBatch) coreOptions(reduceBudget int) core.Options {
 	return opt
 }
 
-// timeout resolves the batch's deadline budget like a single request's.
-func (pb *parsedBatch) timeout(def, max time.Duration) time.Duration {
-	return pb.fns[0].timeout(def, max)
+// lookup probes the exact batch key only. The budget index and peer
+// fill are per-function mechanisms, fed by the per-function answers a
+// finished batch unpacks. Every batch request probes once, so this is
+// where they are counted.
+func (pb *parsedBatch) lookup(_ context.Context, s *Server) (*outcome, string, bool) {
+	mBatchRequests.Inc()
+	out, where, ok := s.cached(pb.key)
+	return out, where, ok && out.Batch != nil
+}
+
+// solve runs JANUS-MF over every function. A done batch is cached whole
+// under the batch key and unpacked per function, so later single
+// requests for anything it contained hit the cache instead of
+// re-solving — unless the job was cancelled: as for a single job, an
+// answer produced under less than its nominal budget must not enter the
+// caches, while a deadline-bounded answer is the agreed product of this
+// budget.
+func (pb *parsedBatch) solve(ctx context.Context, s *Server, j *job) (*outcome, []string) {
+	span := obsv.SpanFromContext(ctx)
+	span.SetInt("outputs", int64(len(pb.fns)))
+	covers := make([]cube.Cover, len(pb.fns))
+	for i, p := range pb.fns {
+		covers[i] = p.cover
+	}
+	opt := pb.coreOptions(s.cfg.BatchReduceBudget)
+	opt.Ctx = ctx
+	opt.Deadline = j.deadline
+	var mr *core.MultiResult
+	var err error
+	canceled := s.call(j, func() { mr, err = s.synthMulti(covers, opt, pb.reduce) })
+	switch {
+	case err != nil && canceled:
+		mCanceled.Inc()
+		return &outcome{Status: StatusCanceled, Error: "canceled"}, nil
+	case err != nil:
+		mJobErrors.Inc()
+		return &outcome{Status: StatusError, Error: err.Error()}, nil
+	}
+	mJobsDone.Inc()
+	span.SetInt("lm_solved", int64(mr.LMSolved))
+	out := &outcome{Status: StatusDone, Batch: renderBatch(mr, pb)}
+	if !canceled {
+		s.mem.put(pb.key, out)
+		s.disk.put(pb.key, out)
+		s.unpackBatch(pb, mr)
+	}
+	return out, nil
+}
+
+// unpackBatch stores each converged per-output answer under the cache
+// identity a single-function request with the same options and budget
+// would use. A non-partial part's bounds met, so it is provably minimum
+// in the candidate space regardless of how the search was bounded —
+// exactly what a dedicated single run would have produced. Partial
+// parts are skipped: the batch's shared deadline says nothing about
+// what a dedicated budget would have bought that function.
+func (s *Server) unpackBatch(pb *parsedBatch, mr *core.MultiResult) {
+	for i, p := range pb.fns {
+		r := mr.Parts[i]
+		if r.Partial || r.Assignment == nil {
+			continue
+		}
+		out := &outcome{Status: StatusDone, Result: renderResult(r, p.names)}
+		s.mem.put(p.key, out)
+		s.disk.put(p.key, out)
+		s.recordBudget(p, r.MatchedLB)
+		mBatchUnpacked.Inc()
+	}
 }
 
 // renderBatch converts a core multi-result to the wire form.

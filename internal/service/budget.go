@@ -42,7 +42,7 @@ const maxBudgetEntries = 16
 
 // budgetOf resolves a parsed request onto the comparable budget scale.
 func (s *Server) budgetOf(p *parsedRequest) (mc int64, timeout time.Duration) {
-	return maxConflictsNorm(p.req.MaxConflicts),
+	return maxConflictsNorm(p.maxConflicts),
 		p.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 }
 

@@ -39,8 +39,10 @@ const waitGrace = 250 * time.Millisecond
 // emits one JSON access log line.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/synthesize", s.instrument("synthesize", s.sloSynth, slog.LevelInfo, s.handleSynthesize))
-	mux.HandleFunc("POST /v1/synthesize/batch", s.instrument("synthesize_batch", s.sloSynth, slog.LevelInfo, s.handleSynthesizeBatch))
+	mux.HandleFunc("POST /v1/synthesize", s.instrument("synthesize", s.sloSynth, slog.LevelInfo,
+		handleSynthesize(s, maxBodyBytes, parseRequest)))
+	mux.HandleFunc("POST /v1/synthesize/batch", s.instrument("synthesize_batch", s.sloSynth, slog.LevelInfo,
+		handleSynthesize(s, maxBatchBodyBytes, parseBatch)))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs", s.sloJobs, slog.LevelInfo, s.handleJob))
 	// Streaming holds the connection open for the job's lifetime; keeping
 	// it out of the jobs SLO (and at debug log level) stops every watch
@@ -110,76 +112,48 @@ func (s *Server) instrument(endpoint string, slo *obsv.SLO, lvl slog.Level, h ht
 	}
 }
 
-func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	reqID := obsv.RequestIDFromContext(r.Context())
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
-		return
+// handleSynthesize serves both synthesize routes: decode a T under the
+// route's body limit, parse it once into work (the fn key and timeout
+// are needed before dispatch, and parsing hashes every cover), and
+// serve it.
+func handleSynthesize[T any, W work](s *Server, limit int64, parse func(T) (W, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		reqID := obsv.RequestIDFromContext(r.Context())
+		var req T
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error(), reqID)
+			return
+		}
+		wk, err := parse(req)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error(), reqID)
+			return
+		}
+		id := wk.id()
+		w.Header().Set("X-Janus-Fn-Key", id.fnKey)
+		// Bound the wait to the request budget (plus grace) so an abandoned
+		// connection is the only way to give up earlier than the job does.
+		ctx, cancel := context.WithTimeout(r.Context(),
+			id.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)+waitGrace)
+		defer cancel()
+		// A front tier that just resharded this key hints at the previous
+		// owner; a function's cache probe consults that owner's cache
+		// before synthesizing.
+		ctx = ContextWithFillFrom(ctx, r.Header.Get("X-Janus-Fill-From"))
+		ctx = ContextWithTenant(ctx, sanitizeTenant(r.Header.Get("X-Janus-Tenant")))
+		resp, err := s.serve(ctx, wk)
+		if err != nil {
+			writeSynthesizeError(w, err, reqID)
+			return
+		}
+		code := http.StatusOK
+		if resp.Status == StatusQueued || resp.Status == StatusRunning {
+			code = http.StatusAccepted // poll GET /v1/jobs/{id}
+		}
+		writeJSON(w, code, resp)
 	}
-	p, err := parseRequest(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
-		return
-	}
-	w.Header().Set("X-Janus-Fn-Key", p.fnKey)
-	// Bound the wait to the request budget (plus grace) so an abandoned
-	// connection is the only way to give up earlier than the job does.
-	ctx, cancel := context.WithTimeout(r.Context(),
-		p.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)+waitGrace)
-	defer cancel()
-	// A front tier that just resharded this key hints at the previous
-	// owner; the serve path consults its cache before synthesizing.
-	ctx = ContextWithFillFrom(ctx, r.Header.Get("X-Janus-Fill-From"))
-	ctx = ContextWithTenant(ctx, sanitizeTenant(r.Header.Get("X-Janus-Tenant")))
-	// synthesizeParsed, not Synthesize: the request was already parsed
-	// above (fn key, timeout), and parsing hashes every cover — doing it
-	// twice per request was pure waste.
-	resp, err := s.synthesizeParsed(ctx, p)
-	if err != nil {
-		writeSynthesizeError(w, err, reqID)
-		return
-	}
-	code := http.StatusOK
-	if resp.Status == StatusQueued || resp.Status == StatusRunning {
-		code = http.StatusAccepted // poll GET /v1/jobs/{id}
-	}
-	writeJSON(w, code, resp)
-}
-
-// handleSynthesizeBatch mirrors handleSynthesize for multi-function
-// workloads: one batch is one job through core.SynthesizeMulti.
-func (s *Server) handleSynthesizeBatch(w http.ResponseWriter, r *http.Request) {
-	reqID := obsv.RequestIDFromContext(r.Context())
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
-		return
-	}
-	pb, err := parseBatch(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), reqID)
-		return
-	}
-	w.Header().Set("X-Janus-Fn-Key", pb.fnKey)
-	ctx, cancel := context.WithTimeout(r.Context(),
-		pb.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)+waitGrace)
-	defer cancel()
-	ctx = ContextWithTenant(ctx, sanitizeTenant(r.Header.Get("X-Janus-Tenant")))
-	resp, err := s.synthesizeBatchParsed(ctx, pb)
-	if err != nil {
-		writeSynthesizeError(w, err, reqID)
-		return
-	}
-	code := http.StatusOK
-	if resp.Status == StatusQueued || resp.Status == StatusRunning {
-		code = http.StatusAccepted
-	}
-	writeJSON(w, code, resp)
 }
 
 // writeSynthesizeError maps admission errors onto status codes, shared

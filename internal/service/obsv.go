@@ -37,11 +37,9 @@ var (
 	mBatchRequests = obsv.Default.Counter("janus_service_batch_requests_total")
 	mBatchUnpacked = obsv.Default.Counter("janus_service_batch_unpacked_total")
 
-	// Scheduler: DRR deficit refill rounds, and dispatches whose cover
-	// shape matched the previous one (memo-affinity hits). Per-tenant
-	// depth/admit/shed metrics are created lazily per tenant (tenant.go).
-	mSchedRefills     = obsv.Default.Counter("janus_service_sched_refill_rounds_total")
-	mDispatchAffinity = obsv.Default.Counter("janus_service_dispatch_affinity_total")
+	// Scheduler: DRR deficit refill rounds. Per-tenant depth/admit/shed
+	// metrics are created lazily per tenant (tenant.go).
+	mSchedRefills = obsv.Default.Counter("janus_service_sched_refill_rounds_total")
 
 	// Peer cache fill (the front tier's reshard warm-up): lookups served
 	// to peers on /v1/cache/{fnKey}, and fills this daemon performed

@@ -81,11 +81,7 @@ func (s *Server) CacheLookup(fnKey string, timeoutMS, maxConflicts int64) (*Cach
 		return nil, false
 	}
 	mPeerLookups.Inc()
-	p := &parsedRequest{
-		fnKey: fnKey,
-		req:   Request{TimeoutMS: timeoutMS, MaxConflicts: maxConflicts},
-	}
-	p.key = canonicalKey(fnKey, p.req)
+	p := &parsedRequest{ident: identOf(fnKey, Request{TimeoutMS: timeoutMS, MaxConflicts: maxConflicts})}
 	if out, _, ok := s.cached(p.key); ok && out.Status == StatusDone && out.Result != nil {
 		mc, to := s.budgetOf(p)
 		mPeerLookupHits.Inc()
@@ -145,7 +141,7 @@ func (s *Server) peerFill(ctx context.Context, peerURL string, p *parsedRequest)
 	mPeerFillProbes.Inc()
 	cctx, cancel := context.WithTimeout(ctx, peerFillTimeout)
 	defer cancel()
-	ent, err := NewClient(peerURL).CacheLookup(cctx, p.fnKey, p.req.TimeoutMS, p.req.MaxConflicts)
+	ent, err := NewClient(peerURL).CacheLookup(cctx, p.fnKey, p.timeoutMS, p.maxConflicts)
 	if err != nil || ent == nil {
 		return nil, false
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"github.com/lattice-tools/janus/internal/core"
 	"github.com/lattice-tools/janus/internal/cube"
@@ -101,16 +100,11 @@ const (
 )
 
 // parsedRequest is a validated Request: the selected cover, its input
-// names for rendering, and the canonical cache/coalescing keys. fnKey
-// identifies the budget-free question (function + answer-shaping
-// options); key adds the budget fields and is the exact coalescing and
-// cache-store identity.
+// names for rendering, and the canonical cache/coalescing keys.
 type parsedRequest struct {
-	req   Request
+	ident
 	cover cube.Cover
 	names []string
-	fnKey string
-	key   string
 }
 
 // FnKeyOf validates a request and returns its budget-free canonical
@@ -146,13 +140,10 @@ func parseRequest(req Request) (*parsedRequest, error) {
 	if req.MaxConflicts < 0 || req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("negative budget")
 	}
-	fnKey := canonicalFnKey(cover)
 	return &parsedRequest{
-		req:   req,
+		ident: identOf(canonicalFnKey(cover), req),
 		cover: cover,
 		names: f.InputNames,
-		fnKey: fnKey,
-		key:   canonicalKey(fnKey, req),
 	}, nil
 }
 
@@ -222,10 +213,10 @@ func maxConflictsNorm(mc int64) int64 {
 }
 
 // coreOptions translates the request knobs into synthesis options.
-// Ctx and Deadline are filled in by the worker.
+// Ctx and Deadline are filled in by solve.
 func (p *parsedRequest) coreOptions() core.Options {
 	var opt core.Options
-	opt.Encode.Limits = sat.Limits{MaxConflicts: p.req.MaxConflicts}
+	opt.Encode.Limits = sat.Limits{MaxConflicts: p.maxConflicts}
 	return opt
 }
 
@@ -252,17 +243,4 @@ func renderResult(r core.Result, names []string) *ResultJSON {
 		}
 	}
 	return out
-}
-
-// timeout resolves the request's effective deadline budget against the
-// server's default and cap.
-func (p *parsedRequest) timeout(def, max time.Duration) time.Duration {
-	d := time.Duration(p.req.TimeoutMS) * time.Millisecond
-	if d <= 0 {
-		d = def
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	return d
 }

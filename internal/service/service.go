@@ -59,10 +59,9 @@ type Config struct {
 	// retrievable via GET /v1/jobs/{id}/trace (default 64; negative
 	// disables per-job tracing, leaving only the flight recorder).
 	TraceJobs int
-	// TraceSpans / TraceBytes bound each job's trace buffer (defaults
-	// obsv.DefaultTraceSpans / obsv.DefaultTraceBytes).
+	// TraceSpans bounds each job's trace buffer (default
+	// obsv.DefaultTraceSpans); its byte bound is obsv.DefaultTraceBytes.
 	TraceSpans int
-	TraceBytes int64
 	// FlightEntries sizes the flight recorder's request-summary ring
 	// (default 256; negative disables the recorder).
 	FlightEntries int
@@ -264,21 +263,69 @@ type Server struct {
 	synthMulti func(fns []cube.Cover, opt core.Options, reduce bool) (*core.MultiResult, error)
 }
 
+// work is what one job synthesizes: a *parsedRequest (one function,
+// JANUS) or a *parsedBatch (several functions packed onto one lattice,
+// JANUS-MF). Both kinds take the same path through admission, the
+// queue, the worker and the flight recorder; only the cache probe and
+// the solve differ.
+type work interface {
+	id() *ident
+	// lookup probes the caches for a finished answer before admission,
+	// and says which tier answered.
+	lookup(ctx context.Context, s *Server) (out *outcome, where string, ok bool)
+	// solve runs the synthesis of job j under ctx (its core call goes
+	// through s.call), applies the kind's outcome rules and cache writes,
+	// and returns the outcome and the grids the search probed.
+	solve(ctx context.Context, s *Server, j *job) (out *outcome, probed []string)
+}
+
+// ident is what both kinds of work share: the keys, the budget and the
+// async flag. fnKey identifies the budget-free question, the identity a
+// sharding front routes on; key adds the budget fields and is the exact
+// coalescing and cache identity.
+type ident struct {
+	fnKey        string
+	key          string
+	maxConflicts int64
+	timeoutMS    int64
+	async        bool
+}
+
+// identOf derives the identity of a request for the question fnKey.
+func identOf(fnKey string, req Request) ident {
+	return ident{
+		fnKey: fnKey, key: canonicalKey(fnKey, req),
+		maxConflicts: req.MaxConflicts, timeoutMS: req.TimeoutMS, async: req.Async,
+	}
+}
+
+func (id *ident) id() *ident { return id }
+
+// timeout resolves the effective deadline budget against the server's
+// default and cap.
+func (id *ident) timeout(def, max time.Duration) time.Duration {
+	d := time.Duration(id.timeoutMS) * time.Millisecond
+	if d <= 0 {
+		d = def
+	}
+	if max > 0 && d > max {
+		d = max
+	}
+	return d
+}
+
 // job is one synthesis admitted to the queue. Mutable fields (status,
 // out, waiters, async) are guarded by the server mutex; done closes when
 // the job reaches a terminal status.
 type job struct {
 	id        string
-	key       string
 	requestID string // the admitting request's id, stamped on the trace
 	// traceCtx is the admitting request's inbound trace context (zero
 	// when none): the job's span tree roots under this remote parent so
 	// the front tier can stitch its spans and ours into one trace.
 	traceCtx  obsv.TraceContext
-	p         *parsedRequest
-	bp        *parsedBatch // non-nil for batch jobs (then p is nil)
-	tenant    string       // the tenant queue this job is accounted to
-	shape     string       // cover shape for memo-affinity dispatch ("" for batches)
+	work      work
+	tenant    string // the tenant queue this job is accounted to
 	enqueued  time.Time
 	deadline  time.Time
 	ctx       context.Context
@@ -287,19 +334,20 @@ type job struct {
 	async     bool
 	status    string
 	queueWait time.Duration
+	solveTime time.Duration     // the core call alone; set by Server.call
 	trace     *obsv.TraceBuffer // nil until running, or with tracing off
 	progress  *progressState    // nil with progress disabled
 	out       *outcome
 	done      chan struct{}
 }
 
-// fnKey returns the job's routing identity: the single function's key
-// or the batch key.
-func (j *job) fnKey() string {
-	if j.bp != nil {
-		return j.bp.fnKey
+// endpoint is the route that submits the job's kind, the label of its
+// tenant histograms.
+func (j *job) endpoint() string {
+	if _, batch := j.work.(*parsedBatch); batch {
+		return "synthesize_batch"
 	}
-	return j.p.fnKey
+	return "synthesize"
 }
 
 // NewServer builds the service, loads the persistent tier (results and
@@ -365,66 +413,55 @@ var (
 	ErrDraining = fmt.Errorf("service: draining")
 )
 
-// Synthesize is the embedded-use entry point (the HTTP handler and the
-// Client both end up here): it resolves the request against the caches,
-// coalesces with an identical in-flight job or enqueues a new one, and
-// waits for the outcome or ctx. A ctx that ends first abandons the job
-// (which is cancelled once no waiter remains, unless async) and returns
-// the job's current state so the caller can poll later.
+// Synthesize is the embedded-use entry point for one function (the
+// HTTP handler and the Client both end up in serve): it resolves the
+// request against the caches, coalesces with an identical in-flight job
+// or enqueues a new one, and waits for the outcome or ctx. A ctx that
+// ends first abandons the job (which is cancelled once no waiter
+// remains, unless async) and returns the job's current state so the
+// caller can poll later.
 func (s *Server) Synthesize(ctx context.Context, req Request) (*Response, error) {
 	p, err := parseRequest(req)
 	if err != nil {
 		return nil, err
 	}
-	return s.synthesizeParsed(ctx, p)
+	return s.serve(ctx, p)
 }
 
-// synthesizeParsed is Synthesize past validation. The HTTP handler
-// calls it directly with the parsedRequest it already built (it needed
-// the fn key and timeout before dispatch), so a request is parsed —
-// covers hashed, PLA walked — exactly once on the synthesize path.
-func (s *Server) synthesizeParsed(ctx context.Context, p *parsedRequest) (*Response, error) {
+// SynthesizeBatch is the batch entry point (POST /v1/synthesize/batch):
+// one job runs core.SynthesizeMulti over every function, on the same
+// serve path as Synthesize.
+func (s *Server) SynthesizeBatch(ctx context.Context, req BatchRequest) (*Response, error) {
+	pb, err := parseBatch(req)
+	if err != nil {
+		return nil, err
+	}
+	return s.serve(ctx, pb)
+}
+
+// serve is the one serve path, past validation. The HTTP handler calls
+// it directly with the work it already parsed (it needed the fn key and
+// timeout before dispatch), so a request is parsed — covers hashed, PLA
+// walked — exactly once.
+func (s *Server) serve(ctx context.Context, w work) (*Response, error) {
 	start := time.Now()
 	mRequests.Inc()
+	id := w.id()
 	reqID := obsv.RequestIDFromContext(ctx)
 	if reqID == "" {
 		reqID = s.newRequestID()
 		ctx = obsv.ContextWithRequestID(ctx, reqID)
 	}
-	if out, where, ok := s.cached(p.key); ok {
+	if out, where, ok := w.lookup(ctx, s); ok {
 		hRequestNS.Observe(int64(time.Since(start)))
 		s.flight.record(FlightEntry{
-			Time: start, RequestID: reqID, FnKey: fnPrefix(p.fnKey),
+			Time: start, RequestID: reqID, FnKey: fnPrefix(id.fnKey),
 			Outcome: out.Status, Cached: where, Grid: outcomeGrid(out),
 			TotalNS: int64(time.Since(start)),
 		})
-		return withMeta(respond(out, "", where), reqID, p.fnKey), nil
+		return withMeta(respond(out, "", where), reqID, id.fnKey), nil
 	}
-	if out, where, ok := s.budgetHit(p); ok {
-		hRequestNS.Observe(int64(time.Since(start)))
-		s.flight.record(FlightEntry{
-			Time: start, RequestID: reqID, FnKey: fnPrefix(p.fnKey),
-			Outcome: out.Status, Cached: where, Grid: outcomeGrid(out),
-			TotalNS: int64(time.Since(start)),
-		})
-		return withMeta(respond(out, "", where), reqID, p.fnKey), nil
-	}
-	// Reshard warm-up: a front tier that just moved this key here hints
-	// at the previous owner; adopting its cached answer (when budget-
-	// compatible) turns what would be a re-solve stampede into one HTTP
-	// round trip. Any failure falls through to a normal synthesis.
-	if peer := fillFrom(ctx); peer != "" {
-		if out, ok := s.peerFill(ctx, peer, p); ok {
-			hRequestNS.Observe(int64(time.Since(start)))
-			s.flight.record(FlightEntry{
-				Time: start, RequestID: reqID, FnKey: fnPrefix(p.fnKey),
-				Outcome: out.Status, Cached: "peer", Grid: outcomeGrid(out),
-				TotalNS: int64(time.Since(start)),
-			})
-			return withMeta(respond(out, "", "peer"), reqID, p.fnKey), nil
-		}
-	}
-	j, coalesced, err := s.admit(p, nil, reqID, tenantFromContext(ctx), s.traceContext(ctx))
+	j, coalesced, err := s.admit(w, reqID, tenantFromContext(ctx), s.traceContext(ctx))
 	if err != nil {
 		// Shed and drain refusals go in the flight recorder too: a burst
 		// of 429s is exactly the kind of incident it exists to replay.
@@ -433,14 +470,14 @@ func (s *Server) synthesizeParsed(ctx context.Context, p *parsedRequest) (*Respo
 			oc = outcomeDraining
 		}
 		s.flight.record(FlightEntry{
-			Time: start, RequestID: reqID, FnKey: fnPrefix(p.fnKey),
+			Time: start, RequestID: reqID, FnKey: fnPrefix(id.fnKey),
 			Outcome: oc, Error: err.Error(), TotalNS: int64(time.Since(start)),
 		})
 		return nil, err
 	}
-	if p.req.Async {
+	if id.async {
 		s.mu.Lock()
-		resp := &Response{JobID: j.id, Status: j.status, RequestID: reqID, FnKey: p.fnKey}
+		resp := &Response{JobID: j.id, Status: j.status, RequestID: reqID, FnKey: id.fnKey}
 		s.mu.Unlock()
 		return resp, nil
 	}
@@ -456,91 +493,15 @@ func (s *Server) synthesizeParsed(ctx context.Context, p *parsedRequest) (*Respo
 			// their own entry pointing at the job that answered them.
 			s.flight.record(FlightEntry{
 				Time: start, RequestID: reqID, JobID: j.id, CoalescedInto: j.id,
-				FnKey: fnPrefix(p.fnKey), Outcome: j.out.Status, Cached: cached,
+				FnKey: fnPrefix(id.fnKey), Outcome: j.out.Status, Cached: cached,
 				Grid: outcomeGrid(j.out), TotalNS: int64(time.Since(start)),
 			})
 		}
-		return withMeta(respond(j.out, j.id, cached), reqID, p.fnKey), nil
+		return withMeta(respond(j.out, j.id, cached), reqID, id.fnKey), nil
 	case <-ctx.Done():
 		s.abandon(j)
 		s.mu.Lock()
-		resp := &Response{JobID: j.id, Status: j.status, RequestID: reqID, FnKey: p.fnKey}
-		s.mu.Unlock()
-		return resp, nil
-	}
-}
-
-// SynthesizeBatch is the batch entry point (POST /v1/synthesize/batch):
-// resolve the whole batch against the cache, coalesce with an identical
-// in-flight batch, or enqueue one job that runs core.SynthesizeMulti
-// over every function. Batches skip the budget index and peer fill —
-// both are per-function mechanisms, and the per-function cache entries
-// a finished batch unpacks are what feeds them.
-func (s *Server) SynthesizeBatch(ctx context.Context, req BatchRequest) (*Response, error) {
-	pb, err := parseBatch(req)
-	if err != nil {
-		return nil, err
-	}
-	return s.synthesizeBatchParsed(ctx, pb)
-}
-
-// synthesizeBatchParsed is SynthesizeBatch past validation (the HTTP
-// handler parses once and calls this, like synthesizeParsed).
-func (s *Server) synthesizeBatchParsed(ctx context.Context, pb *parsedBatch) (*Response, error) {
-	start := time.Now()
-	mRequests.Inc()
-	mBatchRequests.Inc()
-	reqID := obsv.RequestIDFromContext(ctx)
-	if reqID == "" {
-		reqID = s.newRequestID()
-		ctx = obsv.ContextWithRequestID(ctx, reqID)
-	}
-	if out, where, ok := s.cached(pb.key); ok && out.Batch != nil {
-		hRequestNS.Observe(int64(time.Since(start)))
-		s.flight.record(FlightEntry{
-			Time: start, RequestID: reqID, FnKey: fnPrefix(pb.fnKey),
-			Outcome: out.Status, Cached: where, Grid: out.Batch.Sol,
-			TotalNS: int64(time.Since(start)),
-		})
-		return withMeta(respond(out, "", where), reqID, pb.fnKey), nil
-	}
-	j, coalesced, err := s.admit(nil, pb, reqID, tenantFromContext(ctx), s.traceContext(ctx))
-	if err != nil {
-		oc := outcomeShed
-		if err == ErrDraining {
-			oc = outcomeDraining
-		}
-		s.flight.record(FlightEntry{
-			Time: start, RequestID: reqID, FnKey: fnPrefix(pb.fnKey),
-			Outcome: oc, Error: err.Error(), TotalNS: int64(time.Since(start)),
-		})
-		return nil, err
-	}
-	if pb.req.Async {
-		s.mu.Lock()
-		resp := &Response{JobID: j.id, Status: j.status, RequestID: reqID, FnKey: pb.fnKey}
-		s.mu.Unlock()
-		return resp, nil
-	}
-	defer func() { hRequestNS.Observe(int64(time.Since(start))) }()
-	cached := ""
-	if coalesced {
-		cached = "coalesced"
-	}
-	select {
-	case <-j.done:
-		if coalesced {
-			s.flight.record(FlightEntry{
-				Time: start, RequestID: reqID, JobID: j.id, CoalescedInto: j.id,
-				FnKey: fnPrefix(pb.fnKey), Outcome: j.out.Status, Cached: cached,
-				TotalNS: int64(time.Since(start)),
-			})
-		}
-		return withMeta(respond(j.out, j.id, cached), reqID, pb.fnKey), nil
-	case <-ctx.Done():
-		s.abandon(j)
-		s.mu.Lock()
-		resp := &Response{JobID: j.id, Status: j.status, RequestID: reqID, FnKey: pb.fnKey}
+		resp := &Response{JobID: j.id, Status: j.status, RequestID: reqID, FnKey: id.fnKey}
 		s.mu.Unlock()
 		return resp, nil
 	}
@@ -577,12 +538,18 @@ func fnPrefix(k string) string {
 	return k
 }
 
-// outcomeGrid formats a done outcome's lattice shape ("3x4").
+// outcomeGrid formats a done outcome's lattice shape ("3x4"); a
+// batch's is its packed lattice's.
 func outcomeGrid(out *outcome) string {
-	if out == nil || out.Result == nil {
+	switch {
+	case out == nil:
 		return ""
+	case out.Batch != nil:
+		return out.Batch.Sol
+	case out.Result != nil:
+		return fmt.Sprintf("%dx%d", out.Result.M, out.Result.N)
 	}
-	return fmt.Sprintf("%dx%d", out.Result.M, out.Result.N)
+	return ""
 }
 
 // cached resolves a key against the memory tier and then the disk tier,
@@ -603,36 +570,21 @@ func (s *Server) cached(key string) (*outcome, string, bool) {
 
 // admit coalesces the request onto an identical in-flight job or
 // enqueues a new one under the tenant's fairness rules, all under the
-// mutex so admission cannot race drain. Exactly one of p / bp is
-// non-nil (single vs batch job).
-func (s *Server) admit(p *parsedRequest, bp *parsedBatch, reqID, tenant string, tc obsv.TraceContext) (*job, bool, error) {
-	var key, shape string
-	var timeout time.Duration
-	var async bool
-	if bp != nil {
-		key = bp.key
-		timeout = bp.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-		async = bp.req.Async
-	} else {
-		key = p.key
-		timeout = p.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-		async = p.req.Async
-		// The cover's inputs×products shape is the memo-affinity signal:
-		// same shape means the path-enumeration memos for the probed grids
-		// are likely hot from the previous dispatch.
-		shape = fmt.Sprintf("%dx%d", p.cover.N, len(p.cover.Cubes))
-	}
+// mutex so admission cannot race drain.
+func (s *Server) admit(w work, reqID, tenant string, tc obsv.TraceContext) (*job, bool, error) {
+	id := w.id()
+	timeout := id.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, false, ErrDraining
 	}
-	if j, ok := s.inflight[key]; ok {
+	if j, ok := s.inflight[id.key]; ok {
 		// Coalescing is keyed by the canonical request, not the tenant:
 		// two tenants asking the same question share one synthesis (the
 		// answer is identical), accounted to whichever tenant asked first.
 		j.waiters++
-		if async {
+		if id.async {
 			j.async = true
 		}
 		mCoalesced.Inc()
@@ -641,21 +593,18 @@ func (s *Server) admit(p *parsedRequest, bp *parsedBatch, reqID, tenant string, 
 	s.seq++
 	j := &job{
 		id:        fmt.Sprintf("j%s-%d", s.nonce, s.seq),
-		key:       key,
 		requestID: reqID,
 		traceCtx:  tc,
-		p:         p,
-		bp:        bp,
+		work:      w,
 		tenant:    tenant,
-		shape:     shape,
 		enqueued:  time.Now(),
 		deadline:  time.Now().Add(timeout),
 		waiters:   1,
-		async:     async,
+		async:     id.async,
 		status:    StatusQueued,
 		done:      make(chan struct{}),
 	}
-	if bp == nil && s.cfg.ProgressEvents > 0 {
+	if _, single := w.(*parsedRequest); single && s.cfg.ProgressEvents > 0 {
 		// Created at admission so the events stream exists (and buffers)
 		// from the first queued moment, not only once a worker picks the
 		// job up. Batch jobs carry no progress stream: the per-output
@@ -673,11 +622,11 @@ func (s *Server) admit(p *parsedRequest, bp *parsedBatch, reqID, tenant string, 
 		return nil, false, err
 	}
 	gQueueDepth.Set(int64(s.sched.total))
-	s.inflight[key] = j
+	s.inflight[id.key] = j
 	s.jobs[j.id] = j
 	s.cond.Signal()
 	s.log.Info("job queued", "job_id", j.id, "request_id", reqID,
-		"fn_key", fnPrefix(j.fnKey()), "tenant", j.tenant, "batch", bp != nil,
+		"fn_key", fnPrefix(id.fnKey), "tenant", j.tenant, "endpoint", j.endpoint(),
 		"async", j.async, "timeout_ms", timeout.Milliseconds(),
 		"queue_depth", s.sched.total)
 	return j, false, nil
@@ -712,7 +661,7 @@ func (s *Server) Job(id string) (*Response, bool) {
 	} else {
 		resp = &Response{JobID: j.id, Status: j.status}
 	}
-	resp.FnKey = j.fnKey()
+	resp.FnKey = j.work.id().fnKey
 	// The inline snapshot is what makes a plain poll "anytime": a caller
 	// that never opens the events stream still sees the bounds close in.
 	resp.Progress = j.progress.snapshot()
@@ -762,19 +711,16 @@ func (s *Server) worker() {
 		}
 		gQueueDepth.Set(int64(s.sched.total))
 		s.mu.Unlock()
-		if j.bp != nil {
-			s.runBatch(j)
-		} else {
-			s.run(j)
-		}
+		s.run(j)
 	}
 }
 
 // run executes one job: skip it when already cancelled in the queue,
-// otherwise synthesize under the job context — with the job's tracer,
-// span, and request id carried in it — and publish the outcome, one
-// flight entry per job.
+// otherwise solve it under the job context — with the job's tracer,
+// span, progress sink and request id carried in it — and publish the
+// outcome, one flight entry per job.
 func (s *Server) run(j *job) {
+	fnKey := fnPrefix(j.work.id().fnKey)
 	var jobSpan *obsv.Span
 	s.mu.Lock()
 	if j.ctx.Err() == context.Canceled {
@@ -783,7 +729,7 @@ func (s *Server) run(j *job) {
 		s.mu.Unlock()
 		s.flight.record(FlightEntry{
 			Time: j.enqueued, RequestID: j.requestID, JobID: j.id,
-			FnKey: fnPrefix(j.p.fnKey), Outcome: StatusCanceled,
+			FnKey: fnKey, Outcome: StatusCanceled,
 			Error: "canceled while queued", TotalNS: int64(time.Since(j.enqueued)),
 		})
 		s.log.Info("job canceled while queued", "job_id", j.id, "request_id", j.requestID)
@@ -793,7 +739,7 @@ func (s *Server) run(j *job) {
 	j.queueWait = time.Since(j.enqueued)
 	if s.cfg.TraceJobs > 0 {
 		// j.trace is assigned under the mutex so JobTrace never races it.
-		j.trace = obsv.NewTraceBuffer(s.cfg.TraceSpans, s.cfg.TraceBytes)
+		j.trace = obsv.NewTraceBuffer(s.cfg.TraceSpans, obsv.DefaultTraceBytes)
 		tracer := obsv.NewTracer(j.trace)
 		if j.traceCtx.Valid() {
 			// An inbound X-Janus-Trace header roots this job under the
@@ -806,12 +752,13 @@ func (s *Server) run(j *job) {
 	}
 	tq := s.sched.tenant(j.tenant)
 	s.mu.Unlock()
+	endpoint := j.endpoint()
 	hQueueWaitNS.Observe(int64(j.queueWait))
-	tq.observeQueueWait("synthesize", j.queueWait)
+	tq.observeQueueWait(endpoint, j.queueWait)
 
 	jobSpan.SetStr("job_id", j.id)
 	jobSpan.SetStr("request_id", j.requestID)
-	jobSpan.SetStr("fn_key", fnPrefix(j.p.fnKey))
+	jobSpan.SetStr("fn_key", fnKey)
 	jobSpan.SetInt("queue_wait_ns", int64(j.queueWait))
 	ctx := obsv.ContextWithRequestID(j.ctx, j.requestID)
 	if jobSpan != nil {
@@ -821,60 +768,20 @@ func (s *Server) run(j *job) {
 		ctx = obsv.ContextWithProgress(ctx, j.progress)
 	}
 
-	gRunning.Add(1)
-	started := time.Now()
-	opt := j.p.coreOptions()
-	opt.Ctx = ctx
-	opt.Deadline = j.deadline
-	res, err := s.synth(j.p.cover, opt)
-	solve := time.Since(started)
-	gRunning.Add(-1)
-	hSolveNS.Observe(int64(solve))
-	ctxErr := j.ctx.Err() // read before cancel() makes it context.Canceled
-	j.cancel()            // release the deadline timer
-
-	var out *outcome
+	out, probed := j.work.solve(ctx, s, j)
+	total := j.queueWait + j.solveTime
+	entry := FlightEntry{
+		Time: j.enqueued, RequestID: j.requestID, JobID: j.id,
+		FnKey: fnKey, Outcome: out.Status, Error: out.Error,
+		Grid: outcomeGrid(out), GridsProbed: probed,
+		QueueWaitNS: int64(j.queueWait), SolveNS: int64(j.solveTime), TotalNS: int64(total),
+	}
 	switch {
-	case err != nil:
-		mJobErrors.Inc()
-		out = &outcome{Status: StatusError, Error: err.Error()}
-	case ctxErr == context.Canceled && res.Assignment == nil:
-		// Abandoned before the bounds phase produced anything: there is
-		// no answer to degrade to.
-		mCanceled.Inc()
-		out = &outcome{Status: StatusCanceled, Error: "canceled"}
-	case ctxErr == context.Canceled:
-		// Cancelled mid-run with a verified incumbent in hand: that IS an
-		// answer — publish it as done (partial when the bounds had not
-		// met) so pollers and coalesced followers get the mapping instead
-		// of a bare "canceled". But a cancelled run used less than its
-		// nominal budget, so a partial answer here must never enter the
-		// caches: under the exact (function, budget) key it would claim
-		// "this is what that budget buys", which a fuller run could beat.
-		// A converged answer (bounds met) is exact for any budget and
-		// caches normally.
-		mJobsDone.Inc()
-		out = &outcome{Status: StatusDone, Result: renderResult(res, j.p.names)}
-		if res.Partial {
-			mPartial.Inc()
-		} else {
-			s.mem.put(j.key, out)
-			s.disk.put(j.key, out)
-			s.recordBudget(j.p, res.MatchedLB)
-		}
-	default:
-		// Deadline expiry is not an error: the search returns its best
-		// verified incumbent, which is the agreed answer for this budget
-		// (timeout_ms is part of the cache key, and the budget index only
-		// ever serves a non-MatchedLB answer to same-or-smaller budgets).
-		mJobsDone.Inc()
-		if res.Partial {
-			mPartial.Inc()
-		}
-		out = &outcome{Status: StatusDone, Result: renderResult(res, j.p.names)}
-		s.mem.put(j.key, out)
-		s.disk.put(j.key, out)
-		s.recordBudget(j.p, res.MatchedLB)
+	case out.Result != nil:
+		entry.FinalLB, entry.FinalUB = out.Result.FinalLB, out.Result.Size
+		entry.Partial = out.Result.Partial
+	case out.Batch != nil:
+		entry.FinalUB = out.Batch.Size
 	}
 	if j.progress != nil {
 		// Anytime SLO: enqueue to first verified mapping. Jobs that never
@@ -882,7 +789,7 @@ func (s *Server) run(j *job) {
 		// the objective, whichever is worse.
 		fm := j.progress.firstMappingAt()
 		if fm == 0 {
-			fm = j.queueWait + solve
+			fm = total
 			if fm <= s.cfg.FirstMappingSLO {
 				fm = s.cfg.FirstMappingSLO + 1
 			}
@@ -891,30 +798,15 @@ func (s *Server) run(j *job) {
 		}
 		s.sloFirstMap.Observe(fm)
 		tq.observeFirstMapping(fm)
-		finalLB, finalUB := 0, 0
-		if out.Result != nil {
-			finalLB, finalUB = out.Result.FinalLB, out.Result.Size
-		}
-		j.progress.finish(out.Status, finalLB, finalUB, out.Result != nil && out.Result.Partial)
+		j.progress.finish(out.Status, entry.FinalLB, entry.FinalUB, entry.Partial)
 	}
 	jobSpan.SetStr("outcome", out.Status)
-	if out.Result != nil {
-		jobSpan.SetInt("size", int64(out.Result.Size))
+	if out.Result != nil || out.Batch != nil {
+		jobSpan.SetInt("size", int64(entry.FinalUB))
 	}
 	jobSpan.End() // last span to end: survives any buffer eviction
 
-	total := j.queueWait + solve
-	tq.observeE2E("synthesize", total)
-	entry := FlightEntry{
-		Time: j.enqueued, RequestID: j.requestID, JobID: j.id,
-		FnKey: fnPrefix(j.p.fnKey), Outcome: out.Status, Error: out.Error,
-		Grid: outcomeGrid(out), GridsProbed: res.GridsProbed,
-		QueueWaitNS: int64(j.queueWait), SolveNS: int64(solve), TotalNS: int64(total),
-	}
-	if out.Result != nil {
-		entry.FinalLB, entry.FinalUB = out.Result.FinalLB, out.Result.Size
-		entry.Partial = out.Result.Partial
-	}
+	tq.observeE2E(endpoint, total)
 	if s.flight.shouldPin(out.Status, entry.Partial, total) {
 		if b := j.trace.Bytes(); len(b) > 0 {
 			s.flight.pin(j.id, b)
@@ -923,9 +815,9 @@ func (s *Server) run(j *job) {
 	}
 	s.flight.record(entry)
 	s.log.Info("job finished", "job_id", j.id, "request_id", j.requestID,
-		"outcome", out.Status, "grid", entry.Grid,
+		"tenant", j.tenant, "outcome", out.Status, "grid", entry.Grid,
 		"partial", entry.Partial, "final_lb", entry.FinalLB,
-		"queue_wait_ms", j.queueWait.Milliseconds(), "solve_ms", solve.Milliseconds(),
+		"queue_wait_ms", j.queueWait.Milliseconds(), "solve_ms", j.solveTime.Milliseconds(),
 		"trace_pinned", entry.TracePinned)
 
 	s.mu.Lock()
@@ -933,141 +825,86 @@ func (s *Server) run(j *job) {
 	s.mu.Unlock()
 }
 
-// runBatch executes one batch job: every function through one
-// core.SynthesizeMulti call under the job context. A finished batch is
-// cached whole under the batch key AND unpacked per function, so later
-// single-function requests for anything the batch contained hit the
-// cache instead of re-solving.
-func (s *Server) runBatch(j *job) {
-	var jobSpan *obsv.Span
-	s.mu.Lock()
-	if j.ctx.Err() == context.Canceled {
-		s.finishLocked(j, &outcome{Status: StatusCanceled, Error: "canceled while queued"})
-		s.mu.Unlock()
-		s.flight.record(FlightEntry{
-			Time: j.enqueued, RequestID: j.requestID, JobID: j.id,
-			FnKey: fnPrefix(j.bp.fnKey), Outcome: StatusCanceled,
-			Error: "canceled while queued", TotalNS: int64(time.Since(j.enqueued)),
-		})
-		s.log.Info("batch canceled while queued", "job_id", j.id, "request_id", j.requestID)
-		return
-	}
-	j.status = StatusRunning
-	j.queueWait = time.Since(j.enqueued)
-	if s.cfg.TraceJobs > 0 {
-		j.trace = obsv.NewTraceBuffer(s.cfg.TraceSpans, s.cfg.TraceBytes)
-		tracer := obsv.NewTracer(j.trace)
-		if j.traceCtx.Valid() {
-			tracer.SetTrace(j.traceCtx.TraceID, "janusd")
-		}
-		jobSpan = obsv.StartRemote(tracer, j.traceCtx.Parent, "BatchJob")
-	}
-	tq := s.sched.tenant(j.tenant)
-	s.mu.Unlock()
-	hQueueWaitNS.Observe(int64(j.queueWait))
-	tq.observeQueueWait("synthesize_batch", j.queueWait)
-
-	jobSpan.SetStr("job_id", j.id)
-	jobSpan.SetStr("request_id", j.requestID)
-	jobSpan.SetStr("fn_key", fnPrefix(j.bp.fnKey))
-	jobSpan.SetInt("outputs", int64(len(j.bp.fns)))
-	jobSpan.SetInt("queue_wait_ns", int64(j.queueWait))
-	ctx := obsv.ContextWithRequestID(j.ctx, j.requestID)
-	if jobSpan != nil {
-		ctx = obsv.ContextWithSpan(obsv.ContextWithTracer(ctx, jobSpan.Tracer()), jobSpan)
-	}
-
+// call runs the core call of j's solve. It counts the job as running
+// and times the call alone, not the outcome rules and cache writes that
+// follow. Then it reads whether the job was cancelled and releases the
+// deadline timer; the read comes first because the release cancels the
+// context.
+func (s *Server) call(j *job, synthesize func()) (canceled bool) {
 	gRunning.Add(1)
 	started := time.Now()
-	covers := make([]cube.Cover, len(j.bp.fns))
-	for i, p := range j.bp.fns {
-		covers[i] = p.cover
-	}
-	opt := j.bp.coreOptions(s.cfg.BatchReduceBudget)
-	opt.Ctx = ctx
-	opt.Deadline = j.deadline
-	mr, err := s.synthMulti(covers, opt, j.bp.reduce)
-	solve := time.Since(started)
+	synthesize()
+	j.solveTime = time.Since(started)
 	gRunning.Add(-1)
-	hSolveNS.Observe(int64(solve))
-	ctxErr := j.ctx.Err() // read before cancel() makes it context.Canceled
+	hSolveNS.Observe(int64(j.solveTime))
+	canceled = j.ctx.Err() == context.Canceled
 	j.cancel()
-
-	var out *outcome
-	switch {
-	case err != nil && ctxErr == context.Canceled:
-		mCanceled.Inc()
-		out = &outcome{Status: StatusCanceled, Error: "canceled"}
-	case err != nil:
-		mJobErrors.Inc()
-		out = &outcome{Status: StatusError, Error: err.Error()}
-	default:
-		mJobsDone.Inc()
-		out = &outcome{Status: StatusDone, Batch: renderBatch(mr, j.bp)}
-		if ctxErr != context.Canceled {
-			// Same rule as single jobs: an answer produced under less than
-			// its nominal budget (cancel) must not enter the caches; a
-			// deadline-bounded answer is the agreed product of this budget
-			// and caches under the exact batch key.
-			s.mem.put(j.key, out)
-			s.disk.put(j.key, out)
-			s.unpackBatch(j.bp, mr)
-		}
-	}
-	jobSpan.SetStr("outcome", out.Status)
-	if out.Batch != nil {
-		jobSpan.SetInt("size", int64(out.Batch.Size))
-		jobSpan.SetInt("lm_solved", int64(out.Batch.LMSolved))
-	}
-	jobSpan.End()
-
-	total := j.queueWait + solve
-	tq.observeE2E("synthesize_batch", total)
-	entry := FlightEntry{
-		Time: j.enqueued, RequestID: j.requestID, JobID: j.id,
-		FnKey: fnPrefix(j.bp.fnKey), Outcome: out.Status, Error: out.Error,
-		QueueWaitNS: int64(j.queueWait), SolveNS: int64(solve), TotalNS: int64(total),
-	}
-	if out.Batch != nil {
-		entry.Grid = out.Batch.Sol
-		entry.FinalUB = out.Batch.Size
-	}
-	if s.flight.shouldPin(out.Status, false, total) {
-		if b := j.trace.Bytes(); len(b) > 0 {
-			s.flight.pin(j.id, b)
-			entry.TracePinned = true
-		}
-	}
-	s.flight.record(entry)
-	s.log.Info("batch finished", "job_id", j.id, "request_id", j.requestID,
-		"outcome", out.Status, "outputs", len(j.bp.fns), "grid", entry.Grid,
-		"tenant", j.tenant, "queue_wait_ms", j.queueWait.Milliseconds(),
-		"solve_ms", solve.Milliseconds())
-
-	s.mu.Lock()
-	s.finishLocked(j, out)
-	s.mu.Unlock()
+	return canceled
 }
 
-// unpackBatch stores each converged per-output answer under the cache
-// identity a single-function request with the same options and budget
-// would use. A non-partial part's bounds met, so it is provably minimum
-// in the candidate space regardless of how the search was bounded —
-// exactly what a dedicated single run would have produced. Partial
-// parts are skipped: the batch's shared deadline says nothing about
-// what a dedicated budget would have bought that function.
-func (s *Server) unpackBatch(pb *parsedBatch, mr *core.MultiResult) {
-	for i, p := range pb.fns {
-		r := mr.Parts[i]
-		if r.Partial || r.Assignment == nil {
-			continue
+// lookup probes the caches for one function: the exact key, then the
+// budget index, then the previous owner's cache when a front tier hints
+// at one.
+func (p *parsedRequest) lookup(ctx context.Context, s *Server) (*outcome, string, bool) {
+	if out, where, ok := s.cached(p.key); ok {
+		return out, where, true
+	}
+	if out, where, ok := s.budgetHit(p); ok {
+		return out, where, true
+	}
+	// Reshard warm-up: a front tier that just moved this key here hints
+	// at the previous owner; adopting its cached answer (when budget-
+	// compatible) turns what would be a re-solve stampede into one HTTP
+	// round trip. Any failure falls through to a normal synthesis.
+	if peer := fillFrom(ctx); peer != "" {
+		if out, ok := s.peerFill(ctx, peer, p); ok {
+			return out, "peer", true
 		}
-		out := &outcome{Status: StatusDone, Result: renderResult(r, p.names)}
+	}
+	return nil, "", false
+}
+
+// solve runs JANUS on the function.
+func (p *parsedRequest) solve(ctx context.Context, s *Server, j *job) (*outcome, []string) {
+	opt := p.coreOptions()
+	opt.Ctx = ctx
+	opt.Deadline = j.deadline
+	var res core.Result
+	var err error
+	canceled := s.call(j, func() { res, err = s.synth(p.cover, opt) })
+	switch {
+	case err != nil:
+		mJobErrors.Inc()
+		return &outcome{Status: StatusError, Error: err.Error()}, res.GridsProbed
+	case canceled && res.Assignment == nil:
+		// Abandoned before the bounds phase produced anything: there is
+		// no answer to degrade to.
+		mCanceled.Inc()
+		return &outcome{Status: StatusCanceled, Error: "canceled"}, res.GridsProbed
+	}
+	// Deadline expiry is not an error: the search returns its best
+	// verified incumbent, which is the agreed answer for this budget
+	// (timeout_ms is part of the cache key, and the budget index only
+	// ever serves a non-MatchedLB answer to same-or-smaller budgets).
+	// Cancelled mid-run with a verified incumbent in hand is an answer
+	// too: it is published as done (partial when the bounds had not met)
+	// so pollers and coalesced followers get the mapping instead of a
+	// bare "canceled". But a cancelled run used less than its nominal
+	// budget, so a partial answer from it must never enter the caches:
+	// under the exact (function, budget) key it would claim "this is what
+	// that budget buys", which a fuller run could beat. A converged
+	// answer (bounds met) is exact for any budget and caches normally.
+	mJobsDone.Inc()
+	if res.Partial {
+		mPartial.Inc()
+	}
+	out := &outcome{Status: StatusDone, Result: renderResult(res, p.names)}
+	if !canceled || !res.Partial {
 		s.mem.put(p.key, out)
 		s.disk.put(p.key, out)
-		s.recordBudget(p, r.MatchedLB)
-		mBatchUnpacked.Inc()
+		s.recordBudget(p, res.MatchedLB)
 	}
+	return out, res.GridsProbed
 }
 
 // finishLocked publishes a dispatched job's terminal outcome: its
@@ -1082,7 +919,7 @@ func (s *Server) finishLocked(j *job, out *outcome) {
 	// tenant, another waiting worker, or the drain loop.
 	s.sched.complete(j.tenant)
 	s.cond.Broadcast()
-	delete(s.inflight, j.key)
+	delete(s.inflight, j.work.id().key)
 	s.doneOrder = append(s.doneOrder, j.id)
 	for len(s.doneOrder) > retainJobs {
 		delete(s.jobs, s.doneOrder[0])
@@ -1168,7 +1005,7 @@ type Stats struct {
 	TracedJobs    int   `json:"traced_jobs"`
 	// Scheduler is the fairness counter block: per-tenant queue depths,
 	// shares, and admit/shed/complete counters, plus the DRR round and
-	// affinity totals. Optional on the wire (older daemons omit it).
+	// dispatch totals. Optional on the wire (older daemons omit it).
 	Scheduler *SchedulerStats `json:"scheduler,omitempty"`
 	// SLOs carries the per-endpoint burn-rate snapshots (omitted on
 	// /healthz responses from older daemons; clients must treat it as

@@ -50,12 +50,6 @@ const DefaultTenant = "default"
 // Past the cap, unseen tenant names fold into the default tenant.
 const maxTrackedTenants = 64
 
-// affinityLookahead bounds how deep into a tenant's FIFO the dispatcher
-// looks for a job whose grid shape matches the last dispatch (keeping
-// the shared path/cover memos hot); beyond it FIFO order wins, so
-// affinity can never starve a queue head.
-const affinityLookahead = 8
-
 // ErrTenantBusy: this tenant's queue share is exhausted while the
 // daemon as a whole still admits. It wraps ErrBusy so the HTTP mapping
 // (429 + Retry-After) is unchanged; the distinction shows up in the
@@ -68,7 +62,7 @@ type tenantQ struct {
 	name string
 	cfg  TenantConfig
 
-	jobs     []*job // FIFO; shape affinity may take from within the lookahead
+	jobs     []*job // FIFO
 	deficit  int
 	inFlight int
 
@@ -133,9 +127,7 @@ type scheduler struct {
 	rr      int
 	total   int // queued jobs across all tenants
 
-	lastShape    string
 	rounds       int64 // deficit refill rounds
-	affinity     int64 // dispatches whose shape matched the previous one
 	dispatchedTV int64 // dispatched total
 }
 
@@ -277,30 +269,14 @@ func (sc *scheduler) pick() *job {
 	return nil
 }
 
-// take removes the dispatched job from a tenant's FIFO, preferring —
-// within the lookahead — a job whose grid shape matches the previous
-// dispatch, so consecutive syntheses reuse hot path/cover memos.
+// take removes the head of a tenant's FIFO for dispatch.
 func (sc *scheduler) take(tq *tenantQ) *job {
-	idx := 0
-	if sc.lastShape != "" {
-		for i := 0; i < len(tq.jobs) && i < affinityLookahead; i++ {
-			if tq.jobs[i].shape == sc.lastShape {
-				idx = i
-				break
-			}
-		}
-	}
-	j := tq.jobs[idx]
-	if sc.lastShape != "" && j.shape == sc.lastShape {
-		sc.affinity++
-		mDispatchAffinity.Inc()
-	}
-	tq.jobs = append(tq.jobs[:idx], tq.jobs[idx+1:]...)
+	j := tq.jobs[0]
+	tq.jobs = append(tq.jobs[:0], tq.jobs[1:]...)
 	tq.inFlight++
 	tq.dispatched++
 	sc.dispatchedTV++
 	sc.total--
-	sc.lastShape = j.shape
 	tq.gDepth.Set(int64(len(tq.jobs)))
 	return j
 }
@@ -333,7 +309,6 @@ type TenantStats struct {
 // SchedulerStats is the fairness counter block on /v1/stats.
 type SchedulerStats struct {
 	DeficitRounds int64         `json:"deficit_rounds"`
-	AffinityHits  int64         `json:"affinity_hits"`
 	Dispatched    int64         `json:"dispatched_total"`
 	Tenants       []TenantStats `json:"tenants"`
 }
@@ -341,7 +316,6 @@ type SchedulerStats struct {
 func (sc *scheduler) stats() SchedulerStats {
 	st := SchedulerStats{
 		DeficitRounds: sc.rounds,
-		AffinityHits:  sc.affinity,
 		Dispatched:    sc.dispatchedTV,
 	}
 	for _, tq := range sc.order {
