@@ -186,8 +186,9 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		// DS and MF sub-syntheses inherit it through opt.Encode (keyed by
 		// cover, so their part-covers never collide). The engines grow with
 		// every skeleton, so the pool lives exactly as long as the search
-		// amortizing them.
+		// amortizing them, and hands its solvers on to the next synthesis.
 		opt.Encode.Shared = encode.NewSharedPool()
+		defer opt.Encode.Shared.Release()
 	}
 	if opt.Tracer == nil {
 		// Ctx-carried tracing: the service attaches a per-job tracer and

@@ -113,6 +113,7 @@ func SynthesizeMulti(fns []cube.Cover, opt Options, reduce bool) (*MultiResult, 
 		// One pool serves every per-output search and the shared row
 		// reduction, as in Synthesize.
 		opt.Encode.Shared = encode.NewSharedPool()
+		defer opt.Encode.Shared.Release()
 	}
 
 	mr := &MultiResult{}

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"math/bits"
 	"time"
 
 	"github.com/lattice-tools/janus/internal/cube"
@@ -70,6 +71,9 @@ func SolveLMCegar(target, targetDual cube.Cover, g lattice.Grid, opt Options) (R
 	pool := opt.Shared
 	if pool == nil {
 		pool = NewSharedPool()
+		// Every orientation, overlapped or not, is settled before the call
+		// returns, so nothing uses the pool's solvers after this.
+		defer pool.Release()
 	}
 	targetTab := memo.TableOf(target)
 	var deadline time.Time
@@ -135,12 +139,17 @@ type cegarAttempt struct {
 	paths int64
 }
 
-// findMismatch simulates the assignment and returns the first input where
-// it disagrees with the target table, or ok=true when it fully agrees.
+// findMismatch simulates the assignment 64 input points at a time and
+// returns the lowest input where it disagrees with the target table, or
+// ok=true when it fully agrees.
 func findMismatch(a *lattice.Assignment, tab *truth.Table) (uint64, bool) {
-	for t := uint64(0); t < tab.Size(); t++ {
-		if a.EvalConnectivity(t) != tab.Get(t) {
-			return t, false
+	points := ^uint64(0)
+	if tab.N < 6 {
+		points = 1<<tab.Size() - 1 // the one word's low 2^N bits
+	}
+	for w := 0; w < tab.Words(); w++ {
+		if d := (a.Word(w) ^ tab.Word(w)) & points; d != 0 {
+			return uint64(w)*64 + uint64(bits.TrailingZeros64(d)), false
 		}
 	}
 	return 0, true

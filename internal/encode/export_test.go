@@ -10,3 +10,7 @@ func SetOverlapDelay(d time.Duration) (restore func()) {
 	overlapAfter = d
 	return func() { overlapAfter = old }
 }
+
+// ReusedSolvers returns how many engines so far took a solver a released
+// pool handed back. It exists for tests only.
+func ReusedSolvers() int64 { return reusedSolvers.Load() }

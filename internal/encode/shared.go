@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/lattice-tools/janus/internal/cube"
@@ -68,9 +69,51 @@ var defaultFilter = filter{transfer: 24, lbd: 6, size: 30}
 // NewSharedPool returns an empty pool. One pool per synthesis is the
 // intended scope: the engines hold solvers whose size grows with every
 // grid skeleton, so the pool should live exactly as long as the search
-// that amortizes them.
+// that amortizes them, and the code that opened it releases it.
 func NewSharedPool() *SharedPool {
 	return &SharedPool{engines: make(map[poolKey]*sharedEngine), filter: defaultFilter}
+}
+
+// reuseWords bounds the solvers Release hands back for reuse by the words
+// of clause arena they hold (sat.Solver.ArenaWords). A reused solver keeps
+// all its storage while it waits in spareSolvers, so only small ones go
+// back: they are the many short-lived solvers of small functions, whose
+// set-up cost reuse saves, while the rare large one would hold its
+// storage for nothing.
+const reuseWords = 1 << 16
+
+// spareSolvers holds reset solvers for the next engines to take, across
+// pools and syntheses; reusedSolvers counts the engines that took one.
+var (
+	spareSolvers  sync.Pool
+	reusedSolvers atomic.Int64
+)
+
+// Release ends the pool's use: every engine's solver is reset and, when it
+// is small enough, handed back for the engines of later pools to reuse,
+// and the pool is left empty. Only the code that opened the pool calls
+// it, once every search on the pool has returned; a reset solver answers
+// exactly as a new one would, so reuse never changes an answer.
+func (p *SharedPool) Release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, e := range p.engines {
+		if e.s.ArenaWords() <= reuseWords {
+			e.s.Reset()
+			spareSolvers.Put(e.s)
+		}
+	}
+	clear(p.engines)
+}
+
+// newSolver returns a solver as sat.New(0) makes it, a released one when
+// there is one.
+func newSolver() *sat.Solver {
+	if s, ok := spareSolvers.Get().(*sat.Solver); ok {
+		reusedSolvers.Add(1)
+		return s
+	}
+	return sat.New(0)
 }
 
 // poolKey identifies one engine: the encoded cover, the orientation, and
@@ -136,7 +179,7 @@ func (p *SharedPool) install(k poolKey, e *sharedEngine) {
 // newSharedEngine returns an engine for (enc, dual) holding no grid yet.
 func newSharedEngine(enc cube.Cover, dual bool, opt Options, f filter) *sharedEngine {
 	e := &sharedEngine{
-		s:      sat.New(0),
+		s:      newSolver(),
 		enc:    enc,
 		encTab: memo.TableOf(enc),
 		tl:     buildTL(enc, opt.FullTL),

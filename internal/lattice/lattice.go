@@ -371,6 +371,34 @@ func (e Entry) Eval(point uint64) bool {
 	}
 }
 
+// projection[v] is input v's 64-point word for v < 6: bit i is bit v of i.
+var projection = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// word returns the switch state over the 64 points of truth-table word w,
+// points 64w to 64w+63: bit i is the state at point 64w+i. An input below
+// 6 varies inside the word as its projection; an input from 6 on is
+// constant across the word, bit v−6 of w.
+func (e Entry) word(w uint64) uint64 {
+	var x uint64
+	switch {
+	case e.Kind == Const0:
+		return 0
+	case e.Kind == Const1:
+		return ^uint64(0)
+	case e.Var < 6:
+		x = projection[e.Var]
+	case w>>uint(e.Var-6)&1 == 1:
+		x = ^uint64(0)
+	}
+	if e.Kind == NegVar {
+		x = ^x
+	}
+	return x
+}
+
 // Complement returns the entry computing the complemented control value.
 func (e Entry) Complement() Entry {
 	switch e.Kind {
@@ -511,13 +539,93 @@ func (a *Assignment) EvalDualConnectivity(point uint64) bool {
 	return false
 }
 
-// Table evaluates the implemented function over all 2^nInputs points.
+// Table evaluates the implemented function over all 2^nInputs points, 64
+// at a time (see Word).
 func (a *Assignment) Table(nInputs int) *truth.Table {
 	t := truth.New(nInputs)
-	for p := uint64(0); p < t.Size(); p++ {
-		t.Set(p, a.EvalConnectivity(p))
+	var buf [floodWords]uint64
+	scratch := a.floodScratch(buf[:])
+	for w := 0; w < t.Words(); w++ {
+		t.SetWord(w, a.flood(uint64(w), scratch))
 	}
 	return t
+}
+
+// Word returns word w of the implemented function's truth table: bit i is
+// the function at point 64w+i. One flood fill evaluates all 64 points:
+// every switch gets its 64-point word (see Entry.word), the top plate
+// reaches every point, and reach spreads through 4-connected on-switches
+// to a fixpoint. The OR of the bottom row's reach is the word. It agrees
+// with EvalConnectivity at every point, for any grid size and input count.
+func (a *Assignment) Word(w int) uint64 {
+	var buf [floodWords]uint64
+	return a.flood(uint64(w), a.floodScratch(buf[:]))
+}
+
+// floodWords is the scratch flood needs for any lattice of at most 64
+// switches: two words per cell of its frame, (m+2)(n+2) ≤ 3·64+6 cells.
+const floodWords = 2 * (3*maskLimit + 6)
+
+// floodScratch returns room for flood: buf when it is large enough, a new
+// slice for a larger lattice.
+func (a *Assignment) floodScratch(buf []uint64) []uint64 {
+	if n := 2 * (a.Grid.M + 2) * (a.Grid.N + 2); n > len(buf) {
+		return make([]uint64, n)
+	}
+	return buf
+}
+
+// flood computes Word(w) in scratch. The lattice sits in a frame one cell
+// wider on every side, so every switch has four neighbours: the frame's
+// top row is the top plate, reached at every point, and its other cells
+// are off and never reached.
+func (a *Assignment) flood(w uint64, scratch []uint64) uint64 {
+	m, n := a.Grid.M, a.Grid.N
+	fw := n + 2 // frame width
+	size := (m + 2) * fw
+	on, reach := scratch[:size], scratch[size:2*size]
+	clear(on)
+	clear(reach)
+	for r := 0; r < m; r++ {
+		for c := 0; c < n; c++ {
+			on[(r+1)*fw+c+1] = a.Entries[r*n+c].word(w)
+		}
+	}
+	for i := 0; i < fw; i++ {
+		reach[i] = ^uint64(0)
+	}
+	// A forward sweep carries reach down and right within one pass, a
+	// backward sweep up and left; each cell takes its four neighbours'
+	// reach either way. Reach only grows, so the sweeps stop once a pair of
+	// them changes nothing. They pass over the frame's side cells too,
+	// which stay unreached as they are off.
+	first, last := fw+1, m*fw+n
+	for changed := true; changed; {
+		changed = false
+		for i := first; i <= last; i++ {
+			changed = spread(on, reach, i, fw) || changed
+		}
+		for i := last; i >= first; i-- {
+			changed = spread(on, reach, i, fw) || changed
+		}
+	}
+	var out uint64
+	for _, x := range reach[m*fw+1 : m*fw+n+1] {
+		out |= x
+	}
+	return out
+}
+
+// spread sets the reach of frame cell i, in a frame fw cells wide, to the
+// points where its switch is on and it or a 4-neighbour is reached, and
+// reports whether that changed it.
+func spread(on, reach []uint64, i, fw int) bool {
+	x := (reach[i] | reach[i-fw] | reach[i+fw] | reach[i-1] | reach[i+1]) & on[i]
+	if x == reach[i] {
+		return false
+	}
+	reach[i] = x
+	return true
 }
 
 // Realizes reports whether the assignment implements exactly the function

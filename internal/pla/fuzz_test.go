@@ -14,6 +14,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("p cnf nonsense")
 	f.Add(".i 3\n.o 1\n1-1 1\n0-0 1\n")
 	f.Add(".i 0\n.o 200000\n")
+	f.Add(".i 2x\n.o 1\n11 1\n.e\n")
+	f.Add(".i 2\n.o 1abc\n11 1\n.e\n")
+	f.Add(".i 0x2\n.o 1\n.e\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		pf, err := ParseString(input)
 		if err != nil {

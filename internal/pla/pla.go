@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"github.com/lattice-tools/janus/internal/cube"
@@ -31,17 +32,30 @@ type File struct {
 	Covers      []cube.Cover
 }
 
-// Parse reads a PLA file.
+// maxLine bounds a line's length, its newline included: a longer line
+// fails with bufio.ErrTooLong.
+const maxLine = 1 << 20
+
+// Parse reads a PLA file: it reads r to its end, then parses the text as
+// ParseString does.
 func Parse(r io.Reader) (*File, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseString(string(b))
+}
+
+// ParseString parses a PLA held in a string, one line at a time.
+func ParseString(s string) (*File, error) {
 	f := &File{Inputs: -1, Outputs: -1}
-	sc := bufio.NewScanner(r)
-	// Lines may run to 1 MiB, but the buffer starts small and grows only
-	// for a line that needs it: a request-sized PLA costs a few KiB.
-	sc.Buffer(nil, 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
+	for line := 1; s != ""; line++ {
+		text, rest, _ := strings.Cut(s, "\n")
+		s = rest
+		if len(text) >= maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		text = strings.TrimSpace(text)
 		if i := strings.IndexByte(text, '#'); i >= 0 {
 			text = strings.TrimSpace(text[:i])
 		}
@@ -51,34 +65,32 @@ func Parse(r io.Reader) (*File, error) {
 		fields := strings.Fields(text)
 		switch {
 		case fields[0] == ".i":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("pla: line %d: malformed .i", line)
-			}
 			if f.Inputs >= 0 {
 				return nil, fmt.Errorf("pla: line %d: second .i", line)
 			}
-			if _, err := fmt.Sscanf(fields[1], "%d", &f.Inputs); err != nil {
-				return nil, fmt.Errorf("pla: line %d: %v", line, err)
+			n, err := count(line, fields)
+			if err != nil {
+				return nil, err
 			}
-			if f.Inputs < 0 || f.Inputs > cube.MaxVars {
-				return nil, fmt.Errorf("pla: line %d: unsupported input count %d", line, f.Inputs)
+			if n < 0 || n > cube.MaxVars {
+				return nil, fmt.Errorf("pla: line %d: unsupported input count %d", line, n)
 			}
+			f.Inputs = n
 		case fields[0] == ".o":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("pla: line %d: malformed .o", line)
-			}
 			// A second .o would silently drop the cubes read before it.
 			if f.Outputs >= 0 {
 				return nil, fmt.Errorf("pla: line %d: second .o", line)
 			}
-			if _, err := fmt.Sscanf(fields[1], "%d", &f.Outputs); err != nil {
-				return nil, fmt.Errorf("pla: line %d: %v", line, err)
+			n, err := count(line, fields)
+			if err != nil {
+				return nil, err
 			}
-			if f.Outputs < 1 || f.Outputs > MaxOutputs {
+			if n < 1 || n > MaxOutputs {
 				return nil, fmt.Errorf("pla: line %d: unsupported output count %d (at most %d)",
-					line, f.Outputs, MaxOutputs)
+					line, n, MaxOutputs)
 			}
-			f.Covers = make([]cube.Cover, f.Outputs)
+			f.Outputs = n
+			f.Covers = make([]cube.Cover, n)
 		case fields[0] == ".ilb":
 			f.InputNames = fields[1:]
 		case fields[0] == ".ob":
@@ -128,10 +140,20 @@ func Parse(r io.Reader) (*File, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	return f.finish()
+}
+
+// count reads the count of a .i or .o line: one whole number in decimal
+// and nothing else, so that ".i 2x" is an error rather than 2 inputs.
+func count(line int, fields []string) (int, error) {
+	if len(fields) != 2 {
+		return 0, fmt.Errorf("pla: line %d: malformed %s", line, fields[0])
+	}
+	n, err := strconv.Atoi(fields[1])
+	if err != nil {
+		return 0, fmt.Errorf("pla: line %d: %s count %q is not a whole number", line, fields[0], fields[1])
+	}
+	return n, nil
 }
 
 func (f *File) finish() (*File, error) {
@@ -153,9 +175,6 @@ func (f *File) finish() (*File, error) {
 	}
 	return f, nil
 }
-
-// ParseString parses a PLA held in a string.
-func ParseString(s string) (*File, error) { return Parse(strings.NewReader(s)) }
 
 // Write serializes the file back to PLA format.
 func Write(w io.Writer, f *File) error {

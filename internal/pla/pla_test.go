@@ -1,6 +1,8 @@
 package pla
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -54,12 +56,15 @@ func TestParsePackedRows(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		".i 2\n.o 1\n1 1\n.e\n",    // wrong input width
-		".i 2\n.o 1\nx- 1\n.e\n",   // bad char
-		"11 1\n.e\n",               // cube before .i/.o
-		".i 2\n.o 1\n.magic\n.e\n", // unknown directive
-		".i 99\n.o 1\n.e\n",        // too many inputs
-		".i 2\n.o 1\n-- 1 extra\n", // width mismatch after join
+		".i 2\n.o 1\n1 1\n.e\n",     // wrong input width
+		".i 2\n.o 1\nx- 1\n.e\n",    // bad char
+		"11 1\n.e\n",                // cube before .i/.o
+		".i 2\n.o 1\n.magic\n.e\n",  // unknown directive
+		".i 99\n.o 1\n.e\n",         // too many inputs
+		".i 2\n.o 1\n-- 1 extra\n",  // width mismatch after join
+		".i 2x\n.o 1\n11 1\n.e\n",   // input count with trailing garbage
+		".i 2\n.o 1abc\n11 1\n.e\n", // output count with trailing garbage
+		".i 0x2\n.o 1\n.e\n",        // hexadecimal input count
 	}
 	for i, s := range cases {
 		if _, err := ParseString(s); err == nil {
@@ -143,7 +148,8 @@ func TestParseSmallAllocation(t *testing.T) {
 }
 
 // TestParseLongLine: lines beyond bufio's 64 KiB default still parse, up
-// to the 1 MiB limit.
+// to the 1 MiB limit, through ParseString and through Parse alike; a
+// longer line fails with bufio.ErrTooLong.
 func TestParseLongLine(t *testing.T) {
 	in := ".i 2\n.o 1\n# " + strings.Repeat("x", 100<<10) + "\n1- 1\n.e\n"
 	f, err := ParseString(in)
@@ -152,6 +158,18 @@ func TestParseLongLine(t *testing.T) {
 	}
 	if len(f.Covers[0].Cubes) != 1 {
 		t.Fatalf("cover = %v", f.Covers[0])
+	}
+	limit := ".i 2\n.o 1\n#" + strings.Repeat("x", maxLine-2) + "\n1- 1\n"
+	for _, parse := range []func(string) (*File, error){
+		ParseString,
+		func(s string) (*File, error) { return Parse(strings.NewReader(s)) },
+	} {
+		if _, err := parse(limit); err != nil {
+			t.Fatalf("a line of %d bytes: %v", maxLine-1, err)
+		}
+		if _, err := parse(strings.Replace(limit, "#", "##", 1)); !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("a line of %d bytes: %v, want %v", maxLine, err, bufio.ErrTooLong)
+		}
 	}
 }
 

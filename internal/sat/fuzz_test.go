@@ -34,9 +34,12 @@ func FuzzParseDIMACS(f *testing.F) {
 
 // FuzzSolveVsBruteForce decodes its input into an incremental session
 // over at most 12 variables: clauses, solves under assumptions,
-// PruneLearnts calls, arena compactions and clones, interleaved. A clone
-// joins the session: every later step runs on the original and on each
-// clone, and their verdicts, Stats, models and cores must stay identical.
+// PruneLearnts calls, arena compactions, clones and resets, interleaved.
+// A clone joins the session: every later step runs on the original and on
+// each clone, and their verdicts, Stats, models and cores must stay
+// identical. A reset empties every solver of the session and starts the
+// formula over, and a New solver joins it, which the reset ones must then
+// match step for step.
 // Every verdict is checked against enumeration, every model against the
 // clauses and assumptions, and every final core for being a subset of the
 // assumptions that together with the formula is unsatisfiable. After each
@@ -45,8 +48,9 @@ func FuzzParseDIMACS(f *testing.F) {
 //
 // Encoding: byte 0 picks the variable count, byte 1 the learnt cap, then
 // each op byte's low three bits pick the operation and its high bits a
-// width, a budget or (op 7) compaction against cloning; literal bytes give
-// the variable in bits 1-7 and the sign in bit 0.
+// width, a budget or (op 7, bits 3-4) cloning for 1, a reset for 3 and
+// compaction otherwise; literal bytes give the variable in bits 1-7 and
+// the sign in bit 0.
 func FuzzSolveVsBruteForce(f *testing.F) {
 	f.Add([]byte{5, 1, 0x10, 2, 5, 8, 0x18, 3, 6, 9, 1, 0x0c, 0, 0x14, 2, 3, 4, 0x06, 0x07, 0x05})
 	f.Add([]byte{11, 0, 0x18, 0, 2, 4, 6, 0x19, 1, 3, 5, 7, 0x1a, 8, 10, 12, 14, 0x14, 1, 2, 0x2e, 0x0f, 0x1c, 3, 5, 7, 9})
@@ -54,6 +58,10 @@ func FuzzSolveVsBruteForce(f *testing.F) {
 	// Binary clauses, a clone, more binaries on both copies, solves.
 	f.Add([]byte{7, 0, 0x08, 0, 3, 0x08, 2, 5, 0x08, 4, 7, 0x0f, 0x08, 1, 8, 0x08, 6, 9,
 		0x0c, 1, 0x14, 0, 4, 0x08, 10, 13, 0x0f, 0x10, 1, 2, 5, 0x0c, 12, 0x06, 0x07, 0x0d, 3})
+	// Clauses and a solve, a reset, then a new formula on the reset solver
+	// and the New one beside it.
+	f.Add([]byte{9, 1, 0x10, 2, 5, 8, 0x18, 3, 6, 9, 1, 0x08, 4, 11, 0x0c, 0, 0x1f,
+		0x10, 1, 4, 7, 0x18, 2, 9, 12, 15, 0x08, 3, 10, 0x14, 6, 2, 0x07, 0x0c, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Inputs stay short so that minimizing a new one, which the fuzzer
 		// does before it counts further executions, takes moments.
@@ -114,12 +122,22 @@ func FuzzSolveVsBruteForce(f *testing.F) {
 					s.PruneLearnts(int32(op>>3&3), 2+int(op>>5))
 				}
 			case 7:
-				if op>>3&1 == 1 && len(ss) < 3 {
+				switch {
+				case op>>3&3 == 1 && len(ss) < 3:
 					ss = append(ss, ss[0].Clone())
-					break
-				}
-				for _, s := range ss {
-					s.compact()
+				case op>>3&3 == 3:
+					for _, s := range ss {
+						s.Reset()
+						s.EnsureVars(nVars)
+					}
+					cls = nil
+					if len(ss) < 3 {
+						ss = append(ss, New(nVars))
+					}
+				default:
+					for _, s := range ss {
+						s.compact()
+					}
 				}
 			}
 			for _, s := range ss {

@@ -12,7 +12,8 @@
 // arena of 32-bit words and are named by their offset into it (see cref);
 // problem clauses of two literals live only in the binary watch lists. So
 // the search loop allocates nothing once the arena, the watch lists and
-// the scratch buffers have grown to the formula's size.
+// the scratch buffers have grown to the formula's size. Reset empties a
+// solver for its next formula and keeps all that storage.
 package sat
 
 import (
@@ -298,20 +299,56 @@ func New(nVars int) *Solver {
 	return s
 }
 
+// Reset returns the solver to the state New(0) gives: no variables, no
+// clauses, zero counters, no observer. Every array keeps its capacity,
+// the watch lists each their own, so a solver reset and loaded with a
+// formula no larger than its last allocates nothing for it. Nothing the
+// search reads depends on a capacity, so a reset solver makes exactly
+// the decisions, conflicts and propagations a new one would.
+func (s *Solver) Reset() {
+	*s = Solver{
+		varDecay: 0.95, varInc: 1.0, claInc: 1.0, ok: true, learntCap: 8192,
+		arena:      s.arena[:0],
+		spare:      s.spare[:0],
+		clauses:    s.clauses[:0],
+		learnts:    s.learnts[:0],
+		watches:    s.watches[:0],
+		binWatches: s.binWatches[:0],
+		assign:     s.assign[:0],
+		level:      s.level[:0],
+		reason:     s.reason[:0],
+		phase:      s.phase[:0],
+		activity:   s.activity[:0],
+		heap:       s.heap[:0],
+		heapPos:    s.heapPos[:0],
+		trail:      s.trail[:0],
+		trailLim:   s.trailLim[:0],
+		seen:       s.seen[:0],
+		lbdStamp:   s.lbdStamp[:0],
+		addBuf:     s.addBuf[:0],
+		learntBuf:  s.learntBuf[:0],
+		toClear:    s.toClear[:0],
+	}
+}
+
+// ArenaWords returns the capacity, in 32-bit words, of the clause arena
+// and its spare: the bulk of the storage a solver keeps across Reset.
+func (s *Solver) ArenaWords() int { return cap(s.arena) + cap(s.spare) }
+
 // grow extends every per-variable and per-literal array to nVars
 // variables in one step each.
 func (s *Solver) grow(nVars int) {
 	old, n := s.nVars, nVars-s.nVars
-	s.assign = append(s.assign, make([]lbool, 2*n)...)
-	s.level = append(s.level, make([]int32, n)...)
-	s.reason = append(s.reason, make([]cref, n)...)
-	s.phase = append(s.phase, make([]bool, n)...)
-	s.activity = append(s.activity, make([]float64, n)...)
-	s.seen = append(s.seen, make([]bool, n)...)
-	s.lbdStamp = append(s.lbdStamp, make([]int64, n)...)
-	s.watches = append(s.watches, make([][]watcher, 2*n)...)
-	s.binWatches = append(s.binWatches, make([][]binWatcher, 2*n)...)
-	s.heapPos = append(s.heapPos, make([]int32, n)...)
+	s.assign = extend(s.assign, 2*n)
+	s.level = extend(s.level, n)
+	s.reason = extend(s.reason, n)
+	s.phase = extend(s.phase, n)
+	s.activity = extend(s.activity, n)
+	s.seen = extend(s.seen, n)
+	s.lbdStamp = extend(s.lbdStamp, n)
+	s.watches = extendLists(s.watches, 2*nVars)
+	s.binWatches = extendLists(s.binWatches, 2*nVars)
+	s.heapPos = extend(s.heapPos, n)
 	s.heap = slices.Grow(s.heap, n)
 	for v := old; v < nVars; v++ {
 		s.reason[v] = crefUndef
@@ -319,6 +356,31 @@ func (s *Solver) grow(nVars int) {
 		s.heapInsert(int32(v))
 	}
 	s.nVars = nVars
+}
+
+// extend returns xs with n zero values appended, in its own storage when
+// its capacity suffices.
+func extend[T any](xs []T, n int) []T {
+	xs = slices.Grow(xs, n)
+	xs = xs[:len(xs)+n]
+	clear(xs[len(xs)-n:])
+	return xs
+}
+
+// extendLists extends lists to n watch lists. The lists a Reset left in
+// its capacity are handed out first, emptied, so that each keeps its
+// storage; only the lists beyond them start out nil.
+func extendLists[W any](lists [][]W, n int) [][]W {
+	old := len(lists)
+	if n > cap(lists) {
+		lists = append(lists[:cap(lists)], make([][]W, n-cap(lists))...)
+	} else {
+		lists = lists[:n]
+	}
+	for i := old; i < n; i++ {
+		lists[i] = lists[i][:0]
+	}
+	return lists
 }
 
 // Clone returns an independent copy of the solver: the same clauses,
@@ -502,10 +564,16 @@ func (s *Solver) maybeCompact() {
 // keeps every list's order, so the search cannot tell that it happened.
 // The new arena gets the old one's capacity, so the learnts that follow
 // do not force a regrowth straight away; after two compactions the two
-// buffers take turns and compaction allocates nothing.
+// buffers take turns and compaction allocates nothing. A spare smaller
+// than the arena is replaced by one of exactly the arena's capacity: grown
+// by append instead, it would come out larger than the arena, and every
+// later compaction would allocate again, each time about a quarter more.
 func (s *Solver) compact() {
 	from := s.arena
-	to := slices.Grow(s.spare[:0], cap(from))
+	to := s.spare[:0]
+	if cap(to) < cap(from) {
+		to = make([]uint32, 0, cap(from))
+	}
 	for c := 0; c < len(from); {
 		next := c + hdrWords + int(from[c]&^deletedBit)
 		if from[c]&deletedBit == 0 {

@@ -77,10 +77,14 @@ type ProgressJSON struct {
 type progressState struct {
 	start time.Time // enqueue time; event t_ms and first-mapping base
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// ring holds the newest events, at most size of them. It grows by
+	// append until it holds size events, then wraps. next is where the
+	// next event goes: the end while the ring grows, then the slot of the
+	// oldest retained event.
 	ring   []ProgressEventJSON
+	size   int
 	next   int
-	n      int
 	seq    uint64
 	notify chan struct{} // closed and replaced on every append
 
@@ -95,10 +99,13 @@ type progressState struct {
 	terminal     bool
 }
 
+// newProgressState returns an empty state whose ring keeps up to size
+// events. The ring takes memory only as events arrive: a job holds as many
+// as it emitted, often a dozen or two, and only a long one reaches size.
 func newProgressState(size int, start time.Time) *progressState {
 	return &progressState{
 		start:  start,
-		ring:   make([]ProgressEventJSON, size),
+		size:   size,
 		notify: make(chan struct{}),
 	}
 }
@@ -158,17 +165,19 @@ func (p *progressState) rollLocked(ev obsv.ProgressEvent) {
 	}
 }
 
-// appendLocked stamps seq and t_ms, writes into the ring, and wakes
-// every waiter by closing and replacing the notify channel.
+// appendLocked stamps seq and t_ms, writes into the ring (appending until
+// it holds size events, overwriting the oldest after), and wakes every
+// waiter by closing and replacing the notify channel.
 func (p *progressState) appendLocked(e ProgressEventJSON) {
 	p.seq++
 	e.Seq = p.seq
 	e.TMS = float64(time.Since(p.start)) / float64(time.Millisecond)
-	p.ring[p.next] = e
-	p.next = (p.next + 1) % len(p.ring)
-	if p.n < len(p.ring) {
-		p.n++
+	if len(p.ring) < p.size {
+		p.ring = append(p.ring, e)
+	} else {
+		p.ring[p.next] = e
 	}
+	p.next = (p.next + 1) % p.size
 	close(p.notify)
 	p.notify = make(chan struct{})
 }
@@ -235,8 +244,10 @@ func (p *progressState) eventsSince(after uint64) ([]ProgressEventJSON, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var evs []ProgressEventJSON
-	for i := 0; i < p.n; i++ {
-		e := p.ring[(p.next-p.n+i+len(p.ring))%len(p.ring)]
+	n := len(p.ring)
+	for i := 0; i < n; i++ {
+		// While the ring grows next is n, so the oldest event is at 0.
+		e := p.ring[(p.next+i)%n]
 		if e.Seq > after {
 			evs = append(evs, e)
 		}

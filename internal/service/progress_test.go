@@ -481,3 +481,49 @@ func TestEventsEndpointErrors(t *testing.T) {
 		t.Fatal("disabled progress leaked a snapshot into the poll")
 	}
 }
+
+// TestProgressRingSizedByEvents: a job's ring takes memory only for the
+// events it emitted. A finished job with k events holds a ring of k
+// events whose capacity is below 2k: a real synthesis, and a fake one
+// emitting more events than a small ring keeps, which then holds exactly
+// the ring's size.
+func TestProgressRingSizedByEvents(t *testing.T) {
+	ring := func(s *Server, id string) (n, c int, seq uint64) {
+		t.Helper()
+		waitStatus(t, s, id, StatusDone)
+		p, ok := s.JobEvents(id)
+		if !ok || p == nil {
+			t.Fatal("finished job has no events stream")
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.ring), cap(p.ring), p.seq
+	}
+
+	s := newTestServer(t, Config{Workers: 1})
+	resp, err := s.Synthesize(context.Background(), Request{PLA: fig1PLA, Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, c, k := ring(s, resp.JobID)
+	if k == 0 || uint64(n) != k || uint64(c) >= 2*k {
+		t.Fatalf("synthesis with %d events holds %d in a ring of capacity %d", k, n, c)
+	}
+
+	const size, emitted = 64, 100
+	small := newTestServer(t, Config{Workers: 1, ProgressEvents: size})
+	small.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
+		sink := obsv.ProgressFromContext(opt.Ctx)
+		for i := 1; i < emitted; i++ {
+			sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressBound, LB: 1, UB: 100 - i})
+		}
+		return fakeResult(), nil
+	}
+	resp, err = small.Synthesize(context.Background(), Request{PLA: fig1PLA, Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, c, k := ring(small, resp.JobID); k != emitted || n != size || c >= 2*size {
+		t.Fatalf("%d events in a ring of %d: holds %d, capacity %d", k, size, n, c)
+	}
+}

@@ -87,6 +87,24 @@ func (t *Table) Set(p uint64, v bool) {
 	}
 }
 
+// Words returns the number of 64-point words the table holds: point p
+// is bit p%64 of word p/64. A table of fewer than 6 variables is one word
+// whose low 2^N bits are its points.
+func (t *Table) Words() int { return len(t.bits) }
+
+// Word returns word i of the table. Of a table of fewer than 6
+// variables only the low 2^N bits are points.
+func (t *Table) Word(i int) uint64 { return t.bits[i] }
+
+// SetWord assigns word i of the table. Bits past the last point of a
+// table of fewer than 6 variables are dropped.
+func (t *Table) SetWord(i int, w uint64) {
+	if t.N < 6 {
+		w &= 1<<t.Size() - 1
+	}
+	t.bits[i] = w
+}
+
 // Size returns the number of points, 2^N.
 func (t *Table) Size() uint64 { return 1 << uint(t.N) }
 
