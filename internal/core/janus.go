@@ -151,8 +151,23 @@ type Result struct {
 	// FinalLB is the lower bound when the search stopped: equal to Size
 	// when the dichotomic search converged (no smaller candidate exists),
 	// lower when a budget or cancellation stopped it early — the
-	// remaining gap is the unexplored sizes.
+	// remaining gap is the unexplored sizes. A step whose candidates ran
+	// out of conflicts moves it as a refuted step does (see ProvenLB).
 	FinalLB int
+	// ProvenLB is the part of FinalLB the search proved: the structural
+	// lower bound, raised to mp+1 only by a dichotomic step that refuted
+	// every candidate of midpoint mp, structurally or Unsat in every
+	// orientation tried, while every step before it had been refuted too.
+	// Refuted is relative to the paper's encoding: switches carry ISOP
+	// literals only, under the degree and long-product rules
+	// (encode.Options DisableDegree and FullTL lift them).
+	ProvenLB int
+	// UndecidedSteps counts the dichotomic steps closed without a Sat
+	// candidate in which some candidate was not refuted: it ended Unknown,
+	// or the budget ran out before it was tried (or, past the 64-switch
+	// candidate limit, some area was never tried). The paper's search
+	// closes them as unsat; they are why ProvenLB may fall below FinalLB.
+	UndecidedSteps int
 	// Partial reports that the search stopped on budget expiry or
 	// cancellation before the bounds met. Assignment is still a verified
 	// mapping of the target; Partial only means a smaller lattice might
@@ -237,7 +252,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		res.LB, res.OUB, res.NUB = 1, 1, 1
 		res.UBMethod = "const"
 		res.MatchedLB = true
-		res.FinalLB = 1
+		res.FinalLB, res.ProvenLB = 1, 1
 		prog.incumbent(a, "const")
 		prog.bound(1, 1, "const")
 		res.Elapsed = time.Since(start)
@@ -305,6 +320,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 	// anything of area ≤ mp fits, a maximal grid fits. The upper bound
 	// updates to the area actually found, which may be below mp.
 	ub := incumbent.Size()
+	provenLB := lb
 	srchSpan, srchDone := phase(prog, root, "Search", "search", mPhaseSrchNS)
 	for lb < ub && !opt.expired() {
 		mp := (lb + ub) / 2
@@ -315,30 +331,44 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		step.SetInt("mp", int64(mp))
 		cands := candidates(mp, lb, maxCells)
 		step.SetInt("candidates", int64(len(cands)))
-		best, err := solveCandidates(isop, dual, cands, opt, step, &st)
+		best, refuted, err := solveCandidates(isop, dual, cands, opt, step, &st)
 		if err != nil {
 			step.SetStr("outcome", "error")
 			step.End()
 			srchDone()
 			return res, err
 		}
-		if best != nil {
+		switch {
+		case best != nil:
 			incumbent = best
 			ub = best.Size()
 			step.SetStr("outcome", "sat")
 			step.SetInt("size", int64(ub))
 			prog.incumbent(incumbent, "sat")
 			prog.bound(lb, ub, "sat")
-		} else {
+		case refuted && mp <= maxCells:
+			// The candidates left out fall below lb, so the step proves
+			// nothing of area up to mp fits only when lb was proven too.
+			if lb == provenLB {
+				provenLB = mp + 1
+			}
 			lb = mp + 1
 			step.SetStr("outcome", "unsat")
 			prog.bound(lb, ub, "unsat")
+		default:
+			// The paper's budget rule closes the step all the same; that is
+			// what makes JANUS approximate.
+			lb = mp + 1
+			res.UndecidedSteps++
+			step.SetStr("outcome", "undecided")
+			prog.bound(lb, ub, "undecided")
 		}
 		prog.step(len(st.grids))
 		step.End()
 	}
 	srchDone()
 	res.FinalLB = lb
+	res.ProvenLB = provenLB
 	res.Partial = lb < ub
 
 	res.LMSolved = st.solved
@@ -359,6 +389,8 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 	root.SetInt("size", int64(res.Size))
 	root.SetInt("lm_solved", int64(res.LMSolved))
 	root.SetInt("final_lb", int64(res.FinalLB))
+	root.SetInt("proven_lb", int64(res.ProvenLB))
+	root.SetInt("undecided_steps", int64(res.UndecidedSteps))
 	if res.Partial {
 		root.SetBool("partial", true)
 	}
@@ -392,6 +424,18 @@ func (st *lmStats) probe(g lattice.Grid) {
 	}
 	st.gridSeen[key] = true
 	st.grids = append(st.grids, key)
+}
+
+// noteAll probes and notes the Results SolveFirst returned for grids, in
+// order; on an error it probes the grid that failed as well.
+func (st *lmStats) noteAll(grids []lattice.Grid, rs []encode.Result, err error) {
+	for i, r := range rs {
+		st.probe(grids[i])
+		st.note(r)
+	}
+	if err != nil {
+		st.probe(grids[len(rs)])
+	}
 }
 
 // note folds one LM solve's counters in.
@@ -430,27 +474,27 @@ func (st *lmStats) noteResult(r Result) {
 	}
 }
 
-// solveCandidates decides the LM problem for each candidate in order and
-// returns the first satisfiable assignment, folding solve effort into st.
-// Candidate spans attach under the step span (nil when tracing is off).
-func solveCandidates(isop, dual cube.Cover, cands []lattice.Grid, opt Options, step *obsv.Span, st *lmStats) (*lattice.Assignment, error) {
+// solveCandidates decides the LM problem for the candidates in order, up
+// to the first satisfiable one, and returns its assignment, folding solve
+// effort into st. Otherwise refuted reports whether every candidate was
+// refuted: structurally, or Unsat in every orientation tried. Candidate
+// spans attach under the step span (nil when tracing is off).
+func solveCandidates(isop, dual cube.Cover, cands []lattice.Grid, opt Options, step *obsv.Span, st *lmStats) (best *lattice.Assignment, refuted bool, err error) {
 	eopt := opt.Encode
 	eopt.Span = step
-	for _, g := range cands {
-		if opt.expired() {
-			break
-		}
-		st.probe(g)
-		r, err := encode.SolveLMCegar(isop, dual, g, eopt)
-		if err != nil {
-			return nil, err
-		}
-		st.note(r)
-		if r.Status == sat.Sat {
-			return r.Assignment, nil
-		}
+	rs, err := encode.SolveFirst(isop, dual, cands, eopt, opt.expired)
+	st.noteAll(cands, rs, err)
+	if err != nil {
+		return nil, false, err
 	}
-	return nil, nil
+	refuted = len(rs) == len(cands)
+	for _, r := range rs {
+		if r.Status == sat.Sat {
+			return r.Assignment, false, nil
+		}
+		refuted = refuted && r.Status == sat.Unsat
+	}
+	return nil, refuted, nil
 }
 
 // candidates returns the maximal lattice shapes of area at most size: one
@@ -629,23 +673,16 @@ func fixedRowSearch(p *part, rows, lo, hi int, opt Options, st *lmStats) *lattic
 	if lo < 1 {
 		lo = 1
 	}
-	var best *lattice.Assignment
-	for k := lo; k <= hi; k++ {
-		if rows*k > maxCells || opt.expired() {
-			break
-		}
-		st.probe(lattice.Grid{M: rows, N: k})
-		r, err := encode.SolveLMCegar(p.isop, p.dual, lattice.Grid{M: rows, N: k}, opt.Encode)
-		if err != nil {
-			return best
-		}
-		st.note(r)
-		if r.Status == sat.Sat {
-			best = r.Assignment
-			break
-		}
+	var grids []lattice.Grid
+	for k := lo; k <= hi && rows*k <= maxCells; k++ {
+		grids = append(grids, lattice.Grid{M: rows, N: k})
 	}
-	return best
+	rs, err := encode.SolveFirst(p.isop, p.dual, grids, opt.Encode, opt.expired)
+	st.noteAll(grids, rs, err)
+	if err != nil || len(rs) == 0 || rs[len(rs)-1].Status != sat.Sat {
+		return nil
+	}
+	return rs[len(rs)-1].Assignment
 }
 
 // reduceRows implements step 3 of the DS method (shared with JANUS-MF

@@ -2,6 +2,7 @@ package cube
 
 import (
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -117,9 +118,10 @@ func (f Cover) LiteralSet() (pos, neg uint64) {
 
 // Absorb removes every cube that is contained in another cube of the cover
 // (single-cube containment) along with duplicates, returning a new cover.
+// It makes one copy of the cubes, sorts and filters it in place, and
+// returns the clipped prefix.
 func (f Cover) Absorb() Cover {
-	cs := make([]Cube, len(f.Cubes))
-	copy(cs, f.Cubes)
+	cs := slices.Clone(f.Cubes)
 	SortCubes(cs)
 	out := cs[:0]
 	for _, c := range cs {
@@ -137,9 +139,7 @@ func (f Cover) Absorb() Cover {
 			out = append(out, c)
 		}
 	}
-	g := Cover{N: f.N, Cubes: make([]Cube, len(out))}
-	copy(g.Cubes, out)
-	return g
+	return Cover{N: f.N, Cubes: slices.Clip(out)}
 }
 
 // Or returns the disjunction of two covers (with absorption).

@@ -10,9 +10,10 @@
 package cube
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -134,15 +135,7 @@ func (c Cube) Cofactor(v int, val bool) (Cube, bool) {
 
 // Less provides a deterministic total order on cubes (by literal count,
 // then by masks), used to canonicalize covers.
-func (c Cube) Less(d Cube) bool {
-	if a, b := c.NumLiterals(), d.NumLiterals(); a != b {
-		return a < b
-	}
-	if c.Pos != d.Pos {
-		return c.Pos < d.Pos
-	}
-	return c.Neg < d.Neg
-}
+func (c Cube) Less(d Cube) bool { return compareCubes(c, d) < 0 }
 
 // String renders the cube with variable names x0, x1, ... Constant-1 cubes
 // render as "1".
@@ -178,7 +171,20 @@ func (c Cube) Format(names []string) string {
 	return b.String()
 }
 
-// SortCubes sorts a cube slice into the canonical order.
+// SortCubes sorts a cube slice into the canonical order. Less is a total
+// order on (literal count, Pos, Neg), so equal cubes are identical and any
+// sort gives the same slice.
 func SortCubes(cs []Cube) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Less(cs[j]) })
+	slices.SortFunc(cs, compareCubes)
+}
+
+// compareCubes is the canonical order as a three-way comparison.
+func compareCubes(c, d Cube) int {
+	if r := cmp.Compare(c.NumLiterals(), d.NumLiterals()); r != 0 {
+		return r
+	}
+	if r := cmp.Compare(c.Pos, d.Pos); r != 0 {
+		return r
+	}
+	return cmp.Compare(c.Neg, d.Neg)
 }

@@ -263,6 +263,38 @@ func randomCover(rng *rand.Rand, n, k int) Cover {
 	return f
 }
 
+// TestAbsorbAllocatesOnce pins Absorb to one allocation, the copy it
+// sorts and filters in place, and checks that its result owns that copy:
+// appending to it leaves the input alone.
+func TestAbsorbAllocatesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	f := Zero(6)
+	for i := 0; i < 24; i++ {
+		var pos, neg []int
+		for v := 0; v < 6; v++ {
+			switch rng.Intn(3) {
+			case 0:
+				pos = append(pos, v)
+			case 1:
+				neg = append(neg, v)
+			}
+		}
+		f.Cubes = append(f.Cubes, FromLiterals(pos, neg))
+	}
+	f.Cubes = append(f.Cubes, f.Cubes[:4]...) // duplicates
+	if n := testing.AllocsPerRun(50, func() { f.Absorb() }); n > 1 {
+		t.Errorf("Absorb allocates %v times per call, want 1", n)
+	}
+	in := append([]Cube(nil), f.Cubes...)
+	g := f.Absorb()
+	_ = append(g.Cubes, FromLiterals([]int{0}, nil))
+	for i := range in {
+		if f.Cubes[i] != in[i] {
+			t.Fatalf("Absorb's result aliases its input at %d", i)
+		}
+	}
+}
+
 // Property: absorption never changes the function.
 func TestPropAbsorbPreservesFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

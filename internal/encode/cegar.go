@@ -2,16 +2,13 @@ package encode
 
 import (
 	"math/bits"
-	"time"
 
 	"github.com/lattice-tools/janus/internal/cube"
 	"github.com/lattice-tools/janus/internal/lattice"
-	"github.com/lattice-tools/janus/internal/memo"
-	"github.com/lattice-tools/janus/internal/sat"
 	"github.com/lattice-tools/janus/internal/truth"
 )
 
-// SolveLMCegar decides the LM problem by counterexample-guided
+// SolveLMCegar decides the LM problem on one grid by counterexample-guided
 // abstraction refinement, the lazy view of the exact method's quantified
 // formulation: ∃ mapping ∀ inputs (lattice = f).
 //
@@ -28,115 +25,14 @@ import (
 // The loop runs on opt.Shared, whose engines keep one persistent
 // assumption-based solver per (cover, orientation) across every grid the
 // caller probes (see SharedPool). Without a pool the call opens one of its
-// own, which then holds this one grid.
+// own, which then holds this one grid. It is SolveFirst's one-grid case:
+// the second orientation may start beside the first.
 func SolveLMCegar(target, targetDual cube.Cover, g lattice.Grid, opt Options) (Result, error) {
-	if target.N > MaxInputs {
-		return Result{}, ErrTooManyInputs
+	rs, err := SolveFirst(target, targetDual, []lattice.Grid{g}, opt, nil)
+	if err != nil {
+		return Result{}, err
 	}
-	if target.IsZero() || target.IsOne() {
-		return SolveLM(target, targetDual, g, opt)
-	}
-	if !StructuralCheck(target, targetDual, g) {
-		mStructural.Inc()
-		return Result{Status: sat.Unsat, Structural: true}, nil
-	}
-
-	// Orientation choice: per-entry work is proportional to the path
-	// count, so prefer the sparser structure; skip oversized ones (the
-	// CEGAR loop can afford more than the monolithic cap because it only
-	// materializes the entries it needs, but the path list itself must
-	// still fit).
-	const maxCegarPaths = 200000
-	primal := cegarAttempt{target, false, g.CountPathsLimited(maxCegarPaths, false)}
-	dual := cegarAttempt{targetDual, true, g.CountPathsLimited(maxCegarPaths, true)}
-	order := []cegarAttempt{primal, dual}
-	switch {
-	case opt.Mode == PrimalOnly:
-		order = order[:1]
-	case opt.Mode == DualOnly:
-		order = order[1:]
-	case dual.paths < primal.paths:
-		order = []cegarAttempt{dual, primal}
-	}
-	var attempts []cegarAttempt
-	for _, a := range order {
-		if a.paths <= maxCegarPaths {
-			attempts = append(attempts, a)
-		}
-	}
-	if len(attempts) == 0 {
-		return Result{Status: sat.Unknown}, nil
-	}
-
-	pool := opt.Shared
-	if pool == nil {
-		pool = NewSharedPool()
-		// Every orientation, overlapped or not, is settled before the call
-		// returns, so nothing uses the pool's solvers after this.
-		defer pool.Release()
-	}
-	targetTab := memo.TableOf(target)
-	var deadline time.Time
-	if opt.Limits.Timeout > 0 {
-		deadline = time.Now().Add(opt.Limits.Timeout)
-	}
-	// The orientations are tried in order; the second runs only when the
-	// first is not Sat. It may start early, beside the first (overlap).
-	// The first counts in solving from before the overlap is armed until
-	// it is known whether the helper started, so the CPU gate sees it
-	// throughout and no helper starts once the first has finished.
-	solving.Add(1)
-	var second *overlap
-	if len(attempts) == 2 {
-		second = startOverlap(pool, attempts[1], target, targetTab, g, opt, deadline)
-	}
-	res, err := pool.solve(attempts[0], target, targetTab, g, opt, deadline)
-	overlapped := second.started()
-	solving.Add(-1)
-	if err != nil || res.Status == sat.Sat {
-		if overlapped {
-			second.discard()
-		}
-		return res, err
-	}
-	if len(attempts) == 1 {
-		return res, nil
-	}
-	var r Result
-	if overlapped {
-		r, err = second.adopt(opt.Limits.Interrupt)
-	} else {
-		solving.Add(1)
-		r, err = pool.solve(attempts[1], target, targetTab, g, opt, deadline)
-		solving.Add(-1)
-	}
-	if err != nil || r.Status == sat.Sat {
-		return r, err
-	}
-	if res.Status == sat.Unknown {
-		r.Status = sat.Unknown
-	}
-	return r, nil
-}
-
-// solve runs one orientation on the pool's own engine, one persistent
-// assumption-based solver per (cover, orientation) shared across every
-// candidate grid probed on this pool, and commits its counters.
-func (p *SharedPool) solve(a cegarAttempt, target cube.Cover, targetTab *truth.Table,
-	g lattice.Grid, opt Options, deadline time.Time) (Result, error) {
-	var t tally
-	r, err := p.engine(a.cover, a.dual, opt).solveGrid(target, targetTab, g, opt, deadline, &t)
-	t.commit("")
-	return r, err
-}
-
-// cegarAttempt is one orientation of the refinement engine: the cover
-// being encoded (f for the primal structure, f^D for the dual), the flag,
-// and the orientation's path count (capped just above the limit).
-type cegarAttempt struct {
-	cover cube.Cover
-	dual  bool
-	paths int64
+	return rs[0], nil
 }
 
 // findMismatch simulates the assignment 64 input points at a time and

@@ -17,10 +17,11 @@
 //
 // One clause generator (gridEnc) writes every formulation into a sink.
 // SolveLM and BuildCNF give it a cnf.Builder and constrain all 2^N
-// entries up front: the paper's monolithic formulation. SolveLMCegar gives
-// it a SharedPool grid skeleton and adds entries lazily, one
-// counterexample at a time, on one persistent assumption-based solver per
-// (cover, orientation); that is the engine the synthesis search runs.
+// entries up front: the paper's monolithic formulation. SolveFirst and
+// SolveLMCegar give it a SharedPool grid skeleton and add entries lazily,
+// one counterexample at a time, on one persistent assumption-based solver
+// per (cover, orientation); that is the engine the synthesis search runs,
+// one dichotomic step per SolveFirst call.
 package encode
 
 import (
@@ -70,13 +71,12 @@ type Options struct {
 	// whose cells carry only that product's literals (plus constant 1) —
 	// the restriction the approximate method of Gange et al. imposes.
 	StrictProducts bool
-	// Shared is the pool SolveLMCegar solves on: one persistent
-	// assumption-based solver per (cover, orientation), shared by every
-	// candidate grid the caller probes. Skeletons are guarded by
+	// Shared is the pool SolveFirst and SolveLMCegar solve on: one
+	// persistent assumption-based solver per (cover, orientation), shared
+	// by every candidate grid the caller probes. Skeletons are guarded by
 	// activation literals and counterexample entries transfer between
-	// candidates (see SharedPool). Nil gives each SolveLMCegar call a pool
-	// of its own, which then holds one grid. SolveLM and BuildCNF ignore
-	// it.
+	// candidates (see SharedPool). Nil gives each call a pool of its own,
+	// which then holds that call's grids. SolveLM and BuildCNF ignore it.
 	Shared *SharedPool
 	// Limits bounds each SAT call.
 	Limits sat.Limits
@@ -259,7 +259,7 @@ func BuildCNF(target, targetDual cube.Cover, g lattice.Grid, opt Options) (*cnf.
 // in ISOP form over the same variables) can be realized on the grid, and
 // returns a verified lattice assignment when it can. It solves the
 // paper's monolithic formulation, every truth-table entry up front, on a
-// fresh solver; the search runs SolveLMCegar instead.
+// fresh solver; the search runs SolveFirst instead.
 func SolveLM(target, targetDual cube.Cover, g lattice.Grid, opt Options) (Result, error) {
 	if target.N > MaxInputs {
 		return Result{}, ErrTooManyInputs

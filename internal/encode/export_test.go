@@ -2,9 +2,9 @@ package encode
 
 import "time"
 
-// SetOverlapDelay sets how long the first orientation of an LM call runs
-// alone before the second may start beside it, and returns a function
-// that restores the delay. It exists for tests only.
+// SetOverlapDelay sets how long the earliest unsettled attempt of a step
+// runs alone before a later attempt may start beside it, and returns a
+// function that restores the delay. It exists for tests only.
 func SetOverlapDelay(d time.Duration) (restore func()) {
 	old := overlapAfter
 	overlapAfter = d

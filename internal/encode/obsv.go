@@ -21,7 +21,7 @@ var (
 	mCegarEntries = obsv.Default.Counter("janus_encode_cegar_entries_total")
 	mClausesAdded = obsv.Default.Counter("janus_encode_clauses_added_total")
 	mClausesRebld = obsv.Default.Counter("janus_encode_clauses_rebuilt_total")
-	// Shared assumption pool (SolveLMCegar): candidates answered on a
+	// Shared assumption pool (SolveFirst): candidates answered on a
 	// reused skeleton, counterexample-entry clauses transferred between
 	// candidates, and the final-conflict assumption core sizes of Unsat
 	// answers.
@@ -44,22 +44,26 @@ var (
 	mLearntDBGauge  = obsv.Default.Gauge("janus_sat_learnt_db_size")
 	hLBD            = obsv.Default.Histogram("janus_sat_lbd")
 	hConflicts      = obsv.Default.Histogram("janus_sat_conflicts_per_solve")
-	// Overlapped second orientations (overlap.go): copies whose work the
-	// search adopted, copies it threw away because the first orientation
-	// answered Sat (or failed), and the SAT conflicts those spent. Only
-	// adopted work reaches the counters above.
+	// Attempts run ahead of their turn on engine copies (SolveFirst):
+	// copies whose work the search adopted, copies it threw away because
+	// an earlier attempt answered Sat (or failed, or the search stopped),
+	// and the SAT conflicts those spent. Only adopted work reaches the
+	// counters above.
 	mOverlapAdopted   = obsv.Default.Counter("janus_encode_speculations_adopted_total")
 	mOverlapDiscarded = obsv.Default.Counter("janus_encode_speculations_discarded_total")
 	mOverlapConflicts = obsv.Default.Counter("janus_encode_speculation_discarded_conflicts_total")
 )
 
 // tally holds the registry updates of one LM attempt, and its Candidate
-// span, until the attempt is settled. An attempt on the search's own path
-// commits as it ends; an overlapped second orientation commits only when
+// span, until the attempt is settled. An attempt that ran in its turn
+// commits as it settles; one that ran ahead on a copy commits only when
 // the search adopts its work and otherwise discards, so the registry
 // counts exactly the work a sequential search does.
 type tally struct {
-	cand     *obsv.Span
+	cand *obsv.Span
+	// ahead is, for an attempt run on a copy, how many grids past the
+	// earliest unsettled attempt's grid it was when it started.
+	ahead    int64
 	res      Result // the attempt's result, set as it ends
 	entries  int64  // truth-table entries written into skeletons
 	hasCore  bool   // res.AssumptionCoreSize is a core the solver reported
@@ -127,6 +131,7 @@ func (t *tally) discard() {
 func (t *tally) end(verdict string) {
 	if verdict != "" {
 		t.cand.SetStr("speculative", verdict)
+		t.cand.SetInt("ahead", t.ahead)
 	}
 	t.cand.End()
 }

@@ -29,9 +29,9 @@ import (
 // never has to be rediscovered by another.
 //
 // A pool is safe for concurrent use, but it is meant to have one user: the
-// synthesis that opened it, plus the one goroutine SolveLMCegar may start
-// beside it for a call's second orientation (see overlap). That goroutine
-// copies the second orientation's engine while nothing else uses it; a
+// synthesis that opened it, whose SolveFirst calls may run a later
+// attempt beside the earliest on a copy of that attempt's engine (see
+// SolveFirst). Copies are taken while nothing else uses the engine; a
 // second synthesis on the same pool would make engine states, and so the
 // answers under a conflict budget, depend on scheduling.
 type SharedPool struct {
@@ -140,10 +140,10 @@ func keyOf(enc cube.Cover, dual bool, opt Options) poolKey {
 	}
 }
 
-// engine returns the pool's engine for (enc, dual), creating it on first
-// use. The caller must hold the returned engine's lock while solving.
-func (p *SharedPool) engine(enc cube.Cover, dual bool, opt Options) *sharedEngine {
-	k := keyOf(enc, dual, opt)
+// engine returns the pool's engine for key k of (enc, dual), creating it
+// on first use. The caller must hold the returned engine's lock while
+// solving.
+func (p *SharedPool) engine(k poolKey, enc cube.Cover, dual bool, opt Options) *sharedEngine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.engines[k]; ok {
@@ -154,21 +154,20 @@ func (p *SharedPool) engine(enc cube.Cover, dual bool, opt Options) *sharedEngin
 	return e
 }
 
-// copyOf returns a private engine for (enc, dual) to solve on beside the
-// pool's user, with its key for install: a clone of the pool's engine, or
-// a new engine the pool does not hold when it has none yet.
-func (p *SharedPool) copyOf(enc cube.Cover, dual bool, opt Options) (*sharedEngine, poolKey) {
-	k := keyOf(enc, dual, opt)
+// copyOf returns a private engine for key k of (enc, dual) to solve on
+// beside the pool's user: a clone of the pool's engine, or a new engine
+// the pool does not hold when it has none yet.
+func (p *SharedPool) copyOf(k poolKey, enc cube.Cover, dual bool, opt Options) *sharedEngine {
 	p.mu.Lock()
 	e, ok := p.engines[k]
 	p.mu.Unlock()
 	if !ok {
-		return newSharedEngine(enc, dual, opt, p.filter), k
+		return newSharedEngine(enc, dual, opt, p.filter)
 	}
-	return e.clone(), k
+	return e.clone()
 }
 
-// install makes e the pool's engine for k, in place of the one it was
+// install makes e the pool's engine for k, in place of the state it was
 // copied from.
 func (p *SharedPool) install(k poolKey, e *sharedEngine) {
 	p.mu.Lock()

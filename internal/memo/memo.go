@@ -9,7 +9,7 @@
 // re-evaluate truth.FromCover from scratch. Each cache here is a mutexed
 // LRU with a cost budget (not an entry count: a single wide lattice's
 // path list can outweigh a thousand small ones), safe under concurrent
-// syntheses and the overlapped second orientation of an LM call. Cached
+// syntheses and the attempts a dichotomic step runs side by side. Cached
 // values are shared; callers must treat them as immutable.
 package memo
 

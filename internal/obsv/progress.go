@@ -70,7 +70,8 @@ type ProgressEvent struct {
 	LB, UB int
 	// Method names what moved a bound or produced an incumbent: a bound
 	// construction ("DPS", "DS"), "lb" for the structural lower bound,
-	// "sat"/"unsat" for dichotomic outcomes.
+	// "sat"/"unsat"/"undecided" for dichotomic outcomes (undecided: no
+	// candidate was Sat, but some was not refuted within the budget).
 	Method string
 	// Size and Grid describe a new best verified mapping
 	// (ProgressIncumbent); Verified records that the mapping was checked

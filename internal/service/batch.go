@@ -185,9 +185,13 @@ func (pb *parsedBatch) coreOptions(reduceBudget int) core.Options {
 // where they are counted.
 func (pb *parsedBatch) lookup(_ context.Context, s *Server) (*outcome, string, bool) {
 	mBatchRequests.Inc()
-	out, where, ok := s.cached(pb.key)
+	out, where, ok := s.cached(pb.key, isBatch)
 	return out, where, ok && out.Batch != nil
 }
+
+// isBatch accepts a batch answer read from disk. Batch keys never name a
+// single answer (batchFnKey), so anything else there is junk.
+func isBatch(out *outcome) bool { return out.Batch != nil }
 
 // solve runs JANUS-MF over every function. A done batch is cached whole
 // under the batch key and unpacked per function, so later single

@@ -75,22 +75,23 @@ func (s *Server) recordBudgetRaw(fnKey, key string, mc int64, timeout time.Durat
 // budgetHit serves a request from an answer stored under a different
 // budget when one of the reuse rules applies.
 func (s *Server) budgetHit(p *parsedRequest) (*outcome, string, bool) {
-	out, _, where, ok := s.budgetMatchWhere(p)
+	out, _, where, ok := s.budgetMatchWhere(p, p.realizes)
 	return out, where, ok
 }
 
 // budgetMatch is budgetHit plus the matched index entry, for callers
 // (the peer cache-lookup endpoint) that need the answer's own budget
-// identity, not just its bytes.
+// identity, not just its bytes. Such a caller knows only the function
+// key, so a disk hit is not verified here (see cached).
 func (s *Server) budgetMatch(p *parsedRequest) (*outcome, budgetEntry, bool) {
-	out, e, _, ok := s.budgetMatchWhere(p)
+	out, e, _, ok := s.budgetMatchWhere(p, nil)
 	return out, e, ok
 }
 
-// budgetMatchWhere applies the reuse rules against the budget index.
-// Entries whose answers have aged out of both cache tiers are pruned as
-// they are discovered.
-func (s *Server) budgetMatchWhere(p *parsedRequest) (*outcome, budgetEntry, string, bool) {
+// budgetMatchWhere applies the reuse rules against the budget index,
+// reading the cache tiers with check (see cached). Entries whose answers
+// have aged out of both cache tiers are pruned as they are discovered.
+func (s *Server) budgetMatchWhere(p *parsedRequest, check func(*outcome) bool) (*outcome, budgetEntry, string, bool) {
 	reqMC, reqTO := s.budgetOf(p)
 	s.budMu.Lock()
 	candidates := append([]budgetEntry(nil), s.budgets[p.fnKey]...)
@@ -104,7 +105,7 @@ func (s *Server) budgetMatchWhere(p *parsedRequest) (*outcome, budgetEntry, stri
 		if !optimal && !dominates {
 			continue
 		}
-		if out, where, ok := s.cached(e.key); ok {
+		if out, where, ok := s.cached(e.key, check); ok {
 			mBudgetHits.Inc()
 			return out, e, where, true
 		}

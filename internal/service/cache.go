@@ -161,6 +161,13 @@ func (c *diskCache) evictLocked() {
 	}
 }
 
+// drop forgets (and deletes) one entry.
+func (c *diskCache) drop(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dropLocked(key)
+}
+
 // dropLocked forgets (and deletes) one entry, used on corruption.
 func (c *diskCache) dropLocked(key string) {
 	if e, ok := c.items[key]; ok {

@@ -18,12 +18,15 @@ var (
 	mPartial     = obsv.Default.Counter("janus_service_partial_total")
 	mJobErrors   = obsv.Default.Counter("janus_service_job_errors_total")
 	mDiskCorrupt = obsv.Default.Counter("janus_service_disk_corrupt_total")
-	gQueueDepth  = obsv.Default.Gauge("janus_service_queue_depth")
-	gRunning     = obsv.Default.Gauge("janus_service_running_jobs")
-	gMemoLoaded  = obsv.Default.Gauge("janus_service_memo_paths_loaded")
-	hRequestNS   = obsv.Default.Histogram("janus_service_request_ns")
-	hQueueWaitNS = obsv.Default.Histogram("janus_service_queue_wait_ns")
-	hSolveNS     = obsv.Default.Histogram("janus_service_solve_ns")
+	// mVerifyFailures counts disk entries and peer answers whose lattice
+	// did not realize the requested function; each was treated as a miss.
+	mVerifyFailures = obsv.Default.Counter("janus_service_cache_verify_failures_total")
+	gQueueDepth     = obsv.Default.Gauge("janus_service_queue_depth")
+	gRunning        = obsv.Default.Gauge("janus_service_running_jobs")
+	gMemoLoaded     = obsv.Default.Gauge("janus_service_memo_paths_loaded")
+	hRequestNS      = obsv.Default.Histogram("janus_service_request_ns")
+	hQueueWaitNS    = obsv.Default.Histogram("janus_service_queue_wait_ns")
+	hSolveNS        = obsv.Default.Histogram("janus_service_solve_ns")
 	// hFirstMappingNS distributes enqueue-to-first-verified-mapping — the
 	// service-level anytime latency (queue wait included, unlike the
 	// core-level janus_core_first_mapping_ns).

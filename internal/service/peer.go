@@ -82,7 +82,7 @@ func (s *Server) CacheLookup(fnKey string, timeoutMS, maxConflicts int64) (*Cach
 	}
 	mPeerLookups.Inc()
 	p := &parsedRequest{ident: identOf(fnKey, Request{TimeoutMS: timeoutMS, MaxConflicts: maxConflicts})}
-	if out, _, ok := s.cached(p.key); ok && out.Status == StatusDone && out.Result != nil {
+	if out, _, ok := s.cached(p.key, nil); ok && out.Status == StatusDone && out.Result != nil {
 		mc, to := s.budgetOf(p)
 		mPeerLookupHits.Inc()
 		return &CacheEntry{
@@ -151,7 +151,15 @@ func (s *Server) peerFill(ctx context.Context, peerURL string, p *parsedRequest)
 	if ent.Status != StatusDone || ent.Result == nil || !validKey(ent.Key) || ent.FnKey != p.fnKey {
 		return nil, false
 	}
+	// Nor its lattice: a stale entry or a buggy peer must not poison both
+	// tiers, so the answer must realize this request's function.
 	out := &outcome{Status: StatusDone, Result: ent.Result}
+	if !p.realizes(out) {
+		mVerifyFailures.Inc()
+		s.log.Warn("peer fill answer does not realize the requested function; refused",
+			"peer", peerURL, "fn_key", p.fnKey)
+		return nil, false
+	}
 	s.mem.put(ent.Key, out)
 	s.disk.put(ent.Key, out)
 	s.recordBudgetRaw(p.fnKey, ent.Key, ent.MaxConflictsNorm,

@@ -11,6 +11,7 @@ import (
 	"github.com/lattice-tools/janus/internal/core"
 	"github.com/lattice-tools/janus/internal/cube"
 	"github.com/lattice-tools/janus/internal/encode"
+	"github.com/lattice-tools/janus/internal/lattice"
 	"github.com/lattice-tools/janus/internal/pla"
 	"github.com/lattice-tools/janus/internal/sat"
 )
@@ -210,6 +211,41 @@ func maxConflictsNorm(mc int64) int64 {
 		return math.MaxInt64
 	}
 	return mc
+}
+
+// realizes reports whether a done answer's lattice, read back with the
+// request's input names, implements the request's cover. A disk entry
+// and a peer's answer must pass it before they are served, promoted
+// into memory or adopted; fresh solves are verified by the search.
+func (p *parsedRequest) realizes(out *outcome) bool {
+	r := out.Result
+	if r == nil || r.M < 1 || len(r.Lattice) != r.M || r.N < 1 || r.Size != r.M*r.N {
+		return false
+	}
+	for _, cs := range r.Lattice { // before the grid is allocated
+		if len(cs) != r.N {
+			return false
+		}
+	}
+	cells := make(map[string]lattice.Entry, 2*p.cover.N+2)
+	for v := p.cover.N - 1; v >= 0; v-- { // the lowest variable wins a clash
+		for _, k := range []lattice.EntryKind{lattice.NegVar, lattice.PosVar} {
+			e := lattice.Entry{Kind: k, Var: v}
+			cells[e.Format(p.names)] = e
+		}
+	}
+	cells["0"], cells["1"] = lattice.Entry{Kind: lattice.Const0}, lattice.Entry{Kind: lattice.Const1}
+	a := lattice.NewAssignment(lattice.Grid{M: r.M, N: r.N})
+	for row, cs := range r.Lattice {
+		for col, c := range cs {
+			e, ok := cells[c]
+			if !ok {
+				return false
+			}
+			a.Set(row, col, e)
+		}
+	}
+	return a.Realizes(p.cover)
 }
 
 // coreOptions translates the request knobs into synthesis options.

@@ -552,17 +552,31 @@ func outcomeGrid(out *outcome) string {
 	return ""
 }
 
-// cached resolves a key against the memory tier and then the disk tier,
-// promoting disk hits into memory.
-func (s *Server) cached(key string) (*outcome, string, bool) {
+// cached resolves a key against the memory tier and then the disk tier.
+// Only checked answers enter memory, so a memory hit is served as it is.
+// A disk hit is promoted into memory and served when check accepts it;
+// one it refuses is deleted, counted and logged, and the lookup misses.
+// With check nil the disk hit is served but stays out of memory: that is
+// a peer's lookup, which knows only the function key, and the asking
+// daemon checks the answer before adopting it (peerFill).
+func (s *Server) cached(key string, check func(*outcome) bool) (*outcome, string, bool) {
 	if out, ok := s.mem.get(key); ok {
 		mMemHits.Inc()
 		return out, "mem", true
 	}
 	if out, ok := s.disk.get(key); ok {
-		mDiskHits.Inc()
-		s.mem.put(key, out)
-		return out, "disk", true
+		switch {
+		case check == nil:
+			mDiskHits.Inc()
+			return out, "disk", true
+		case check(out):
+			mDiskHits.Inc()
+			s.mem.put(key, out)
+			return out, "disk", true
+		}
+		s.disk.drop(key)
+		mVerifyFailures.Inc()
+		s.log.Warn("disk cache entry does not answer its request; dropped", "key", key)
 	}
 	mCacheMiss.Inc()
 	return nil, "", false
@@ -846,7 +860,7 @@ func (s *Server) call(j *job, synthesize func()) (canceled bool) {
 // budget index, then the previous owner's cache when a front tier hints
 // at one.
 func (p *parsedRequest) lookup(ctx context.Context, s *Server) (*outcome, string, bool) {
-	if out, where, ok := s.cached(p.key); ok {
+	if out, where, ok := s.cached(p.key, p.realizes); ok {
 		return out, where, true
 	}
 	if out, where, ok := s.budgetHit(p); ok {

@@ -23,9 +23,17 @@ const fig1PLA = ".i 4\n.o 1\n1111 1\n0000 1\n.e\n"
 func fig1Request() Request { return Request{PLA: fig1PLA} }
 
 // fakeResult is a minimal plausible outcome for stubbed syntheses.
+// fakeResult is a stub synthesis' answer: fig1PLA's 4x2 mapping, a
+// column of a, b, c, d beside a column of their complements (disk and peer
+// answers must realize the requested function to be served).
 func fakeResult() core.Result {
 	g := lattice.Grid{M: 4, N: 2}
-	return core.Result{Assignment: lattice.NewAssignment(g), Grid: g, Size: 8}
+	a := lattice.NewAssignment(g)
+	for v := 0; v < 4; v++ {
+		a.Set(v, 0, lattice.Entry{Kind: lattice.PosVar, Var: v})
+		a.Set(v, 1, lattice.Entry{Kind: lattice.NegVar, Var: v})
+	}
+	return core.Result{Assignment: a, Grid: g, Size: 8}
 }
 
 func newTestServer(t *testing.T, cfg Config) *Server {
