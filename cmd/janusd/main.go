@@ -9,13 +9,8 @@
 //	       [-cache-entries N] [-cache-bytes N] [-mem-entries N]
 //	       [-default-timeout D] [-max-timeout D]
 //	       [-drain-timeout D] [-debug-addr ADDR] [-log-level LEVEL]
-//	       [-trace-jobs N] [-trace-spans N] [-flight-entries N]
-//	       [-flight-slow-ms N] [-slo-synth-ms N] [-slo-jobs-ms N]
-//	       [-slo-target F] [-progress-events N] [-slo-first-mapping-ms N]
 //	       [-peers URL,URL,...] [-tenants SPEC,SPEC,...]
 //	       [-tenant-weight N] [-tenant-queue-share N] [-tenant-inflight N]
-//	       [-tenant-slo-synth-ms N] [-tenant-slo-first-mapping-ms N]
-//	       [-batch-reduce-budget N] [-trace-propagate=BOOL]
 //
 // API:
 //
@@ -75,24 +70,11 @@ func main() {
 		drain      = flag.Duration("drain-timeout", 2*time.Minute, "graceful shutdown budget")
 		debugAddr  = flag.String("debug-addr", "", "extra listener for /metrics and /debug/pprof")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		traceJobs  = flag.Int("trace-jobs", 64, "finished jobs keeping a retrievable trace (0 disables tracing)")
-		traceSpans = flag.Int("trace-spans", 0, "max spans kept per job trace (0 = default)")
-		flightEnts = flag.Int("flight-entries", 256, "flight recorder ring size (0 disables)")
-		flightSlow = flag.Int64("flight-slow-ms", 2000, "pin traces of jobs at least this slow (0 = never)")
-		sloSynth   = flag.Int64("slo-synth-ms", 30000, "latency objective for POST /v1/synthesize")
-		sloJobs    = flag.Int64("slo-jobs-ms", 100, "latency objective for GET /v1/jobs")
-		sloTarget  = flag.Float64("slo-target", 0.99, "fraction of requests that must meet their objective")
-		progEvents = flag.Int("progress-events", 512, "progress events kept per job for /v1/jobs/{id}/events (0 disables progress)")
-		sloFirstMs = flag.Int64("slo-first-mapping-ms", 10000, "anytime objective: enqueue to first verified mapping")
 		peers      = flag.String("peers", "", "comma-separated janusd base URLs allowed as peer cache-fill sources (empty disables X-Janus-Fill-From)")
 		tenants    = flag.String("tenants", "", "per-tenant scheduling config: name:weight[:queueshare[:inflight]],... (X-Janus-Tenant header selects the tenant)")
 		tenWeight  = flag.Int("tenant-weight", 1, "default DRR weight for tenants not named in -tenants")
 		tenShare   = flag.Int("tenant-queue-share", 0, "default per-tenant queue share (0 = the global -queue)")
 		tenFlight  = flag.Int("tenant-inflight", 0, "default per-tenant in-flight cap (0 = unlimited)")
-		tenSloSyn  = flag.Int64("tenant-slo-synth-ms", 0, "per-tenant job e2e objective (0 = inherit -slo-synth-ms, negative disables per-tenant SLOs)")
-		tenSloFM   = flag.Int64("tenant-slo-first-mapping-ms", 0, "per-tenant first-mapping objective (0 = inherit -slo-first-mapping-ms, negative disables)")
-		batchRB    = flag.Int("batch-reduce-budget", 8, "LM solves the batch row-reduction phase may spend (0 = unlimited)")
-		traceProp  = flag.Bool("trace-propagate", true, "root job traces under an inbound X-Janus-Trace context (false ignores the header)")
 	)
 	flag.Parse()
 
@@ -103,31 +85,17 @@ func main() {
 		fatal(err)
 	}
 
-	// Flag zero means "off" for the bounded-retention knobs; the config
-	// encodes off as negative (its own zero means "default").
 	srv, err := janus.NewServer(janus.ServiceConfig{
 		Workers: *workers, QueueDepth: *queue,
 		MemEntries: *memEnts, CacheDir: *cacheDir,
 		DiskEntries: *cacheEnts, DiskBytes: *cacheBytes,
 		DefaultTimeout: *defTimeout, MaxTimeout: *maxTimeout,
-		TraceJobs: offIfZero(*traceJobs), TraceSpans: *traceSpans,
-		FlightEntries:   offIfZero(*flightEnts),
-		SlowTrace:       time.Duration(offIfZero64(*flightSlow)) * time.Millisecond,
-		SynthSLO:        time.Duration(*sloSynth) * time.Millisecond,
-		JobsSLO:         time.Duration(*sloJobs) * time.Millisecond,
-		SLOTarget:       *sloTarget,
-		ProgressEvents:  offIfZero(*progEvents),
-		FirstMappingSLO: time.Duration(*sloFirstMs) * time.Millisecond,
-		Peers:           splitList(*peers),
-		Tenants:         tenantCfg,
+		Peers:   splitList(*peers),
+		Tenants: tenantCfg,
 		TenantDefaults: janus.TenantConfig{
 			Weight: *tenWeight, QueueShare: *tenShare, MaxInFlight: *tenFlight,
 		},
-		TenantSynthSLO:          time.Duration(*tenSloSyn) * time.Millisecond,
-		TenantFirstMappingSLO:   time.Duration(*tenSloFM) * time.Millisecond,
-		DisableTracePropagation: !*traceProp,
-		BatchReduceBudget:       offIfZero(*batchRB),
-		Logger:                  log,
+		Logger: log,
 	})
 	if err != nil {
 		fatal(err)
@@ -150,8 +118,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	log.Info("serving", "addr", ln.Addr().String(),
-		"workers", *workers, "queue", *queue, "trace_jobs", *traceJobs,
-		"flight_entries", *flightEnts)
+		"workers", *workers, "queue", *queue)
 
 	// SIGQUIT: dump the flight recorder without dying, the classic
 	// "what has this daemon been doing" lever.
@@ -257,20 +224,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func offIfZero(v int) int {
-	if v == 0 {
-		return -1
-	}
-	return v
-}
-
-func offIfZero64(v int64) int64 {
-	if v == 0 {
-		return -1
-	}
-	return v
 }
 
 func fatal(err error) {

@@ -9,8 +9,7 @@
 //	janusfront -backends http://host1:7151,http://host2:7151,...
 //	           [-addr :7251] [-health-interval D] [-health-timeout D]
 //	           [-fail-after N] [-retries-429 N] [-retry-after-cap D]
-//	           [-stats-timeout D] [-trace-jobs N] [-trace-propagate=BOOL]
-//	           [-debug-addr ADDR] [-log-level LEVEL]
+//	           [-stats-timeout D] [-debug-addr ADDR] [-log-level LEVEL]
 //
 // API (the janusd surface, routed):
 //
@@ -57,8 +56,6 @@ func main() {
 		retries429 = flag.Int("retries-429", 2, "Retry-After-paced retries on a backpressured backend before passing the 429 through")
 		retryCap   = flag.Duration("retry-after-cap", 2*time.Second, "cap on one Retry-After pause")
 		statsTO    = flag.Duration("stats-timeout", 2*time.Second, "per-backend budget of a merged /v1/stats or /metrics/prom fan-out")
-		traceJobs  = flag.Int("trace-jobs", 256, "routed jobs keeping a stitchable front trace (0 disables fleet tracing)")
-		traceProp  = flag.Bool("trace-propagate", true, "mint X-Janus-Trace toward the backends so job traces stitch under the front's spans")
 		debugAddr  = flag.String("debug-addr", "", "extra listener for /metrics and /debug/pprof")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
 	)
@@ -79,11 +76,7 @@ func main() {
 		Retry429:       *retries429,
 		RetryAfterCap:  *retryCap,
 		StatsTimeout:   *statsTO,
-		// Flag zero means "off"; the config encodes off as negative (its
-		// own zero means "default"), matching janusd's -trace-jobs.
-		TraceJobs:               offIfZero(*traceJobs),
-		DisableTracePropagation: !*traceProp,
-		Logger:                  log,
+		Logger:         log,
 	})
 	if err != nil {
 		fatal(err)
@@ -138,13 +131,6 @@ func parseLevel(s string) slog.Level {
 	default:
 		return slog.LevelInfo
 	}
-}
-
-func offIfZero(v int) int {
-	if v == 0 {
-		return -1
-	}
-	return v
 }
 
 func fatal(err error) {

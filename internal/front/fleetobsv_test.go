@@ -6,10 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/lattice-tools/janus/internal/obsv"
 	"github.com/lattice-tools/janus/internal/service"
@@ -67,41 +65,6 @@ func TestFrontStitchedTrace(t *testing.T) {
 	}
 	if job.Parent != attempt.ID {
 		t.Fatalf("Job parent = %d, want the Attempt span %d", job.Parent, attempt.ID)
-	}
-}
-
-// TestFrontTraceDisabled: with TraceJobs negative the front keeps no
-// span trees and the trace endpoint reverts to a backend passthrough —
-// the backend's locally-rooted trace, no front spans.
-func TestFrontTraceDisabled(t *testing.T) {
-	b1 := startBackend(t, "")
-	f, err := New(Config{
-		Backends:       []string{b1.ts.URL},
-		HealthInterval: time.Hour, // poller idles; first round still runs
-		TraceJobs:      -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-	fts := httptest.NewServer(f.Handler())
-	t.Cleanup(fts.Close)
-	c := service.NewClient(fts.URL)
-
-	ctx := context.Background()
-	resp, err := c.Synthesize(ctx, service.Request{PLA: pla(5), TimeoutMS: 60_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := c.JobTrace(ctx, resp.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(raw, []byte(`"Route"`)) {
-		t.Fatalf("front spans present with tracing disabled:\n%s", raw)
-	}
-	if !bytes.Contains(raw, []byte(`"Job"`)) {
-		t.Fatalf("backend trace lost in passthrough:\n%s", raw)
 	}
 }
 
@@ -204,33 +167,4 @@ func BackendIDMust(t *testing.T, raw string) string {
 		t.Fatal(err)
 	}
 	return id
-}
-
-// TestTraceStoreEviction: the ring keeps the newest cap entries,
-// overwrites in place without consuming a slot, and the nil store
-// (tracing disabled) swallows puts and misses gets.
-func TestTraceStoreEviction(t *testing.T) {
-	ts := newTraceStore(2)
-	ts.put("a", []byte("1"))
-	ts.put("b", []byte("2"))
-	ts.put("b", []byte("2b")) // overwrite: no eviction
-	if _, ok := ts.get("a"); !ok {
-		t.Fatal("overwrite evicted an unrelated entry")
-	}
-	ts.put("c", []byte("3")) // evicts a, the oldest
-	if _, ok := ts.get("a"); ok {
-		t.Fatal("oldest entry survived past cap")
-	}
-	if b, ok := ts.get("b"); !ok || string(b) != "2b" {
-		t.Fatalf("entry b = %q/%v, want the overwritten bytes", b, ok)
-	}
-	if _, ok := ts.get("c"); !ok {
-		t.Fatal("newest entry missing")
-	}
-
-	var nilStore *traceStore = newTraceStore(0)
-	nilStore.put("x", []byte("y"))
-	if _, ok := nilStore.get("x"); ok {
-		t.Fatal("nil store returned a hit")
-	}
 }

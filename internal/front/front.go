@@ -42,16 +42,6 @@ type Config struct {
 	// member delays the merge by at most this much and is reported as a
 	// laggard instead of sinking the whole response (default 2s).
 	StatsTimeout time.Duration
-	// TraceJobs bounds how many routed jobs keep the front's own span
-	// trace — the Route/Attempt tree GET /v1/jobs/{id}/trace stitches
-	// onto the backend's stream (default 256; negative disables fleet
-	// tracing entirely, reverting the trace endpoint to a passthrough).
-	TraceJobs int
-	// DisableTracePropagation stops minting X-Janus-Trace toward the
-	// backends while keeping the front's own span recording; backend
-	// traces then root locally and the trace endpoint serves the two
-	// streams unstitched (backend passthrough).
-	DisableTracePropagation bool
 	// Logger receives JSON access and lifecycle logs; nil discards.
 	Logger *slog.Logger
 }
@@ -80,17 +70,16 @@ func (c *Config) fill() error {
 	if c.StatsTimeout <= 0 {
 		c.StatsTimeout = 2 * time.Second
 	}
-	switch {
-	case c.TraceJobs == 0:
-		c.TraceJobs = 256
-	case c.TraceJobs < 0:
-		c.TraceJobs = 0
-	}
 	if c.Logger == nil {
 		c.Logger = obsv.NopLogger()
 	}
 	return nil
 }
+
+// traceJobs bounds how many routed jobs keep the front's own span trace,
+// the Route/Attempt tree GET /v1/jobs/{id}/trace stitches onto the
+// backend's stream.
+const traceJobs = 256
 
 // backendState is one backend's health bookkeeping, owned by the
 // poller; the serving path reads it only through the shard map and the
@@ -122,8 +111,8 @@ type Front struct {
 	reqSeq atomic.Uint64
 
 	// traces retains the front's own span tree per routed job, keyed by
-	// the client-visible (shard-qualified) job id; nil when disabled.
-	traces *traceStore
+	// the client-visible (shard-qualified) job id.
+	traces *obsv.TraceStore
 
 	pollCancel context.CancelFunc
 	pollDone   chan struct{}
@@ -162,7 +151,7 @@ func New(cfg Config) (*Front, error) {
 		cfg:    cfg,
 		byID:   make(map[string]*backendState, len(cfg.Backends)),
 		log:    cfg.Logger,
-		traces: newTraceStore(cfg.TraceJobs),
+		traces: obsv.NewTraceStore(traceJobs),
 	}
 	var members []Backend
 	for _, raw := range cfg.Backends {
@@ -293,48 +282,4 @@ func (f *Front) probe(ctx context.Context, st *backendState) {
 // fleet trace id, see routeSynthesize).
 func (f *Front) newRequestID() string {
 	return fmt.Sprintf("f%s-%d", f.nonce, f.reqSeq.Add(1))
-}
-
-// traceStore is a bounded ring of per-job front traces, keyed by the
-// client-visible job id. Oldest entries evict first; a nil store
-// discards puts and misses gets, so disabled tracing costs one nil
-// check.
-type traceStore struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string][]byte
-	order []string
-}
-
-func newTraceStore(cap int) *traceStore {
-	if cap <= 0 {
-		return nil
-	}
-	return &traceStore{cap: cap, m: make(map[string][]byte, cap)}
-}
-
-func (ts *traceStore) put(id string, b []byte) {
-	if ts == nil || id == "" || len(b) == 0 {
-		return
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if _, ok := ts.m[id]; !ok {
-		ts.order = append(ts.order, id)
-		for len(ts.order) > ts.cap {
-			delete(ts.m, ts.order[0])
-			ts.order = ts.order[1:]
-		}
-	}
-	ts.m[id] = b
-}
-
-func (ts *traceStore) get(id string) ([]byte, bool) {
-	if ts == nil {
-		return nil, false
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	b, ok := ts.m[id]
-	return b, ok
 }

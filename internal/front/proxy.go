@@ -216,17 +216,13 @@ func (f *Front) routeSynthesize(w http.ResponseWriter, r *http.Request, path, ke
 	w.Header().Set("X-Janus-Fn-Key", key)
 	tenant := r.Header.Get("X-Janus-Tenant")
 
-	var fbuf *obsv.TraceBuffer
-	var route *obsv.Span // nil-safe when tracing is disabled
-	if f.traces != nil {
-		fbuf = obsv.NewTraceBuffer(0, 0)
-		tracer := obsv.NewTracer(fbuf)
-		tracer.SetTrace(reqID, "front")
-		route = obsv.Start(tracer, nil, "Route")
-		route.SetStr("fn_key", fnPrefix(key))
-		if tenant != "" {
-			route.SetStr("tenant", tenant)
-		}
+	trace := obsv.NewTraceBuffer(0, 0)
+	tracer := obsv.NewTracer(trace)
+	tracer.SetTrace(reqID, "front")
+	route := obsv.Start(tracer, nil, "Route")
+	route.SetStr("fn_key", fnPrefix(key))
+	if tenant != "" {
+		route.SetStr("tenant", tenant)
 	}
 
 	rank := f.shards.rank(key)
@@ -280,10 +276,10 @@ func (f *Front) routeSynthesize(w http.ResponseWriter, r *http.Request, path, ke
 	}
 	route.SetStr("outcome", outcome)
 	route.End()
-	if jobID != "" && fbuf != nil {
+	if jobID != "" {
 		// Keyed by the shard-qualified id the client polls with, so the
 		// trace endpoint finds the front half without a routing table.
-		f.traces.put(jobID, fbuf.Bytes())
+		f.traces.Put(jobID, trace)
 	}
 }
 
@@ -311,12 +307,10 @@ func (f *Front) forwardSynthesize(ctx context.Context, w http.ResponseWriter, b 
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Request-Id", reqID)
-		if !f.cfg.DisableTracePropagation {
-			// The backend roots its Job span under this attempt, so a
-			// stitched trace shows exactly which forward did the work.
-			if tc := (obsv.TraceContext{TraceID: reqID, Parent: asp.ID()}); tc.Valid() {
-				req.Header.Set(obsv.TraceHeader, tc.String())
-			}
+		// The backend roots its Job span under this attempt, so a stitched
+		// trace shows exactly which forward did the work.
+		if tc := (obsv.TraceContext{TraceID: reqID, Parent: asp.ID()}); tc.Valid() {
+			req.Header.Set(obsv.TraceHeader, tc.String())
 		}
 		if tenant != "" {
 			// The front is tenant-transparent: the scheduling share is a
@@ -444,8 +438,8 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 // stitched under the front's own Route/Attempt spans when the front
 // still holds them (one trace id, the backend Job re-rooted under the
 // attempt that carried it — obsv.StitchTraces). Without a front half —
-// tracing disabled, or the ring evicted it — the backend trace passes
-// through unchanged, exactly the old behavior.
+// the job was not routed here, or the ring evicted it — the backend
+// trace passes through unchanged.
 func (f *Front) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	reqID := obsv.RequestIDFromContext(r.Context())
 	full := r.PathValue("id")
@@ -454,7 +448,7 @@ func (f *Front) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "front: unknown shard in job id", reqID)
 		return
 	}
-	fb, hasFront := f.traces.get(full)
+	fb, hasFront := f.traces.Get(full)
 	if !hasFront {
 		f.proxyGet(w, r, st.backend, "/v1/jobs/"+local+"/trace", reqID, false)
 		return
@@ -490,7 +484,7 @@ func (f *Front) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		w.Write(data) //nolint:errcheck // client gone is not actionable
 		return
 	}
-	stitched, err := obsv.StitchTraces(fb, data)
+	stitched, err := obsv.StitchTraces(fb.Bytes(), data)
 	if err != nil {
 		// A malformed backend stream still reaches the client raw; the
 		// stitch is best-effort decoration.
@@ -697,18 +691,12 @@ func (f *Front) statsSnapshot() Stats {
 		}
 		out.Backends = append(out.Backends, bs)
 	}
-	traced := 0
-	if f.traces != nil {
-		f.traces.mu.Lock()
-		traced = len(f.traces.order)
-		f.traces.mu.Unlock()
-	}
 	out.Front = FrontInfo{
 		Epoch: epoch, Backends: len(f.states), HealthyBackends: healthy,
 		Routed: f.nRouted.Load(), Failovers: f.nFailovers.Load(),
 		Retries429: f.nRetries.Load(), FillHints: f.nFillHints.Load(),
 		NoBackend:  f.nNoBackend.Load(),
-		TracedJobs: traced, TracesStitched: mTracesStitched.Value(),
+		TracedJobs: len(f.traces.IDs()), TracesStitched: mTracesStitched.Value(),
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package obsv
 import (
 	"bytes"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -15,8 +16,8 @@ const (
 )
 
 // TraceBuffer is a bounded in-memory JSONL sink for a Tracer: the
-// service gives each job its own tracer writing here, keeps the buffer
-// on the finished job, and serves it back via GET /v1/jobs/{id}/trace.
+// service gives each job its own tracer writing here, keeps the finished
+// buffer in a TraceStore, and serves it back via GET /v1/jobs/{id}/trace.
 //
 // Each Write call is one span line (the Tracer emits exactly one line
 // per call, under its own mutex). When a bound is exceeded the OLDEST
@@ -104,4 +105,50 @@ func (b *TraceBuffer) WriteTo(w io.Writer) (int64, error) {
 	data := b.Bytes()
 	n, err := w.Write(data)
 	return int64(n), err
+}
+
+// TraceStore keeps finished traces by id: the newest max of them, the
+// oldest evicted first. It holds the buffers themselves, not copies. A
+// buffer is final once its root span (janusd's Job, janusfront's Route)
+// has ended, so callers put it only then.
+type TraceStore struct {
+	mu    sync.Mutex
+	max   int
+	m     map[string]*TraceBuffer
+	order []string // ids in first-put order, oldest first
+}
+
+// NewTraceStore returns a store that keeps up to max traces.
+func NewTraceStore(max int) *TraceStore {
+	return &TraceStore{max: max, m: make(map[string]*TraceBuffer, max)}
+}
+
+// Put stores a finished trace under id, evicting the oldest beyond the
+// bound. Putting an id again replaces its trace without taking a slot.
+func (s *TraceStore) Put(id string, b *TraceBuffer) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.m[id]; !ok {
+		s.order = append(s.order, id)
+		if len(s.order) > s.max {
+			delete(s.m, s.order[0])
+			s.order = s.order[1:]
+		}
+	}
+	s.m[id] = b
+}
+
+// Get returns the trace stored under id.
+func (s *TraceStore) Get(id string) (*TraceBuffer, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.m[id]
+	return b, ok
+}
+
+// IDs returns the stored ids, oldest first.
+func (s *TraceStore) IDs() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.order)
 }

@@ -2,7 +2,9 @@ package obsv
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -118,5 +120,61 @@ func TestTraceBufferNil(t *testing.T) {
 	var buf *TraceBuffer
 	if buf.Spans() != 0 || buf.Dropped() != 0 || buf.Bytes() != nil {
 		t.Fatal("nil TraceBuffer must read as empty")
+	}
+}
+
+// TestTraceStoreEviction: the store keeps the newest max traces, lists
+// them oldest first, and replaces a trace in place without taking a
+// slot.
+func TestTraceStoreEviction(t *testing.T) {
+	trace := func(s string) *TraceBuffer {
+		b := NewTraceBuffer(0, 0)
+		b.Write([]byte(s))
+		return b
+	}
+	ts := NewTraceStore(2)
+	ts.Put("a", trace("1"))
+	ts.Put("b", trace("2"))
+	ts.Put("b", trace("2b")) // replace: no eviction
+	if _, ok := ts.Get("a"); !ok {
+		t.Fatal("replace evicted an unrelated entry")
+	}
+	ts.Put("c", trace("3")) // evicts a, the oldest
+	if _, ok := ts.Get("a"); ok {
+		t.Fatal("oldest entry survived past max")
+	}
+	if b, ok := ts.Get("b"); !ok || string(b.Bytes()) != "2b" {
+		t.Fatalf("entry b = %v, want the replacing trace", ok)
+	}
+	if _, ok := ts.Get("c"); !ok {
+		t.Fatal("newest entry missing")
+	}
+	if ids := ts.IDs(); strings.Join(ids, ",") != "b,c" {
+		t.Fatalf("IDs = %v, want [b c]", ids)
+	}
+}
+
+// TestTraceStoreConcurrent: puts, gets and id lists from several
+// goroutines at once keep the bound (run under -race in CI).
+func TestTraceStoreConcurrent(t *testing.T) {
+	ts := NewTraceStore(8)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				id := fmt.Sprintf("%d-%d", g, i)
+				ts.Put(id, NewTraceBuffer(0, 0))
+				ts.Get(id)
+				if n := len(ts.IDs()); n > 8 {
+					t.Errorf("%d ids held, want at most 8", n)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(ts.IDs()); n != 8 {
+		t.Fatalf("%d ids after 400 puts, want 8", n)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // independent jobs. The win is twofold: the per-output searches run
 // with the dichotomic-search bound disabled (the packing plus the
 // shared row-reduction subsumes its role, and the reduction is capped
-// by Config.BatchReduceBudget), so a batch spends fewer LM solves than
+// by batchReduceBudget), so a batch spends fewer LM solves than
 // the same functions submitted independently; and every converged
 // per-output answer is unpacked into the single-function cache under
 // exactly the key a later single request would use, so the batch
@@ -31,6 +31,13 @@ import (
 // whole runtime, so "more functions" trades latency for solver savings;
 // past this the caller should split.
 const maxBatchFunctions = 64
+
+// batchReduceBudget caps the LM solves one batch may spend in the shared
+// row-reduction phase. The cap is what keeps a batch strictly cheaper
+// than independent submissions: the per-output searches skip the
+// dichotomic-search bounds, and the reduction must not spend back more
+// than that saves.
+const batchReduceBudget = 8
 
 // maxBatchBodyBytes bounds the batch request payload: a batch carries
 // up to maxBatchFunctions PLA texts, so it gets proportionally more
@@ -172,10 +179,10 @@ func batchFnKey(fns []*parsedRequest, reduce bool) string {
 // bounds off (packing + shared reduction subsume them) and the
 // reduction capped so it can never spend more solves shrinking the
 // lattice than the disabled bounds saved.
-func (pb *parsedBatch) coreOptions(reduceBudget int) core.Options {
+func (pb *parsedBatch) coreOptions() core.Options {
 	opt := pb.fns[0].coreOptions()
 	opt.DisableDS = true
-	opt.MFReduceBudget = reduceBudget
+	opt.MFReduceBudget = batchReduceBudget
 	return opt
 }
 
@@ -185,13 +192,24 @@ func (pb *parsedBatch) coreOptions(reduceBudget int) core.Options {
 // where they are counted.
 func (pb *parsedBatch) lookup(_ context.Context, s *Server) (*outcome, string, bool) {
 	mBatchRequests.Inc()
-	out, where, ok := s.cached(pb.key, isBatch)
-	return out, where, ok && out.Batch != nil
+	return s.cached(pb.key, pb.realizes)
 }
 
-// isBatch accepts a batch answer read from disk. Batch keys never name a
-// single answer (batchFnKey), so anything else there is junk.
-func isBatch(out *outcome) bool { return out.Batch != nil }
+// realizes reports whether a done batch answer read from disk has one
+// part per requested function and each part realizes its function, read
+// back with that function's input names. Batch keys never name a single
+// answer (batchFnKey), so anything else there is junk.
+func (pb *parsedBatch) realizes(out *outcome) bool {
+	if out.Batch == nil || len(out.Batch.Parts) != len(pb.fns) {
+		return false
+	}
+	for i, p := range pb.fns {
+		if !p.realizes(&outcome{Status: StatusDone, Result: out.Batch.Parts[i]}) {
+			return false
+		}
+	}
+	return true
+}
 
 // solve runs JANUS-MF over every function. A done batch is cached whole
 // under the batch key and unpacked per function, so later single
@@ -207,7 +225,7 @@ func (pb *parsedBatch) solve(ctx context.Context, s *Server, j *job) (*outcome, 
 	for i, p := range pb.fns {
 		covers[i] = p.cover
 	}
-	opt := pb.coreOptions(s.cfg.BatchReduceBudget)
+	opt := pb.coreOptions()
 	opt.Ctx = ctx
 	opt.Deadline = j.deadline
 	var mr *core.MultiResult

@@ -9,7 +9,7 @@ import "time"
 // answer the server had already proved optimal under a stingier one,
 // and re-ran an hours-long synthesis to reproduce a result it already
 // held. The budget index fixes that with two sound cross-budget reuse
-// rules, checked only after the exact key misses:
+// rules, checked only after the exact key misses (probe):
 //
 //  1. The stored answer matched the theoretical lower bound
 //     (MatchedLB) and was computed under a budget no larger than the
@@ -72,27 +72,20 @@ func (s *Server) recordBudgetRaw(fnKey, key string, mc int64, timeout time.Durat
 	s.budgets[fnKey] = list
 }
 
-// budgetHit serves a request from an answer stored under a different
-// budget when one of the reuse rules applies.
-func (s *Server) budgetHit(p *parsedRequest) (*outcome, string, bool) {
-	out, _, where, ok := s.budgetMatchWhere(p, p.realizes)
-	return out, where, ok
-}
-
-// budgetMatch is budgetHit plus the matched index entry, for callers
-// (the peer cache-lookup endpoint) that need the answer's own budget
-// identity, not just its bytes. Such a caller knows only the function
-// key, so a disk hit is not verified here (see cached).
-func (s *Server) budgetMatch(p *parsedRequest) (*outcome, budgetEntry, bool) {
-	out, e, _, ok := s.budgetMatchWhere(p, nil)
-	return out, e, ok
-}
-
-// budgetMatchWhere applies the reuse rules against the budget index,
-// reading the cache tiers with check (see cached). Entries whose answers
-// have aged out of both cache tiers are pruned as they are discovered.
-func (s *Server) budgetMatchWhere(p *parsedRequest, check func(*outcome) bool) (*outcome, budgetEntry, string, bool) {
+// probe resolves a request against the caches: the exact key first,
+// then the budget index under the reuse rules. It returns the answer, the
+// tier that held it, and the budget identity the answer was stored under
+// (the request's own for an exact hit). check vets disk hits (see
+// cached): the request path passes the request's own realizes; the peer
+// cache-lookup endpoint, which knows only the function key, passes nil.
+// Index entries whose answers have aged out of both cache tiers are
+// pruned as they are discovered.
+func (s *Server) probe(p *parsedRequest, check func(*outcome) bool) (*outcome, string, budgetEntry, bool) {
 	reqMC, reqTO := s.budgetOf(p)
+	if out, where, ok := s.cached(p.key, check); ok {
+		matchedLB := out.Result != nil && out.Result.MatchedLB
+		return out, where, budgetEntry{key: p.key, mc: reqMC, timeout: reqTO, matchedLB: matchedLB}, true
+	}
 	s.budMu.Lock()
 	candidates := append([]budgetEntry(nil), s.budgets[p.fnKey]...)
 	s.budMu.Unlock()
@@ -107,11 +100,11 @@ func (s *Server) budgetMatchWhere(p *parsedRequest, check func(*outcome) bool) (
 		}
 		if out, where, ok := s.cached(e.key, check); ok {
 			mBudgetHits.Inc()
-			return out, e, where, true
+			return out, where, e, true
 		}
 		s.dropBudget(p.fnKey, e.key)
 	}
-	return nil, budgetEntry{}, "", false
+	return nil, "", budgetEntry{}, false
 }
 
 // dropBudget removes a stale entry whose cached answer is gone.

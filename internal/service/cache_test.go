@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -288,5 +289,35 @@ func TestDuplicateCubeKey(t *testing.T) {
 	}
 	if resp.Cached != "mem" || calls.Load() != 1 {
 		t.Fatalf("redundant spelling missed the cache: cached=%q calls=%d", resp.Cached, calls.Load())
+	}
+}
+
+// TestFnKeyInputNames: a cached lattice is spelled in its request's
+// input names, so the same cubes under other .ilb names are another
+// question. The p q request must be solved and answered in p and q, not
+// served a b's lattice from memory; a repeat of the a b request hits.
+func TestFnKeyInputNames(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ask := func(names string) *Response {
+		t.Helper()
+		resp, err := s.Synthesize(context.Background(),
+			Request{PLA: ".i 2\n.o 1\n.ilb " + names + "\n11 1\n.e\n"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != StatusDone || resp.Result == nil {
+			t.Fatalf(".ilb %s: %+v", names, resp)
+		}
+		return resp
+	}
+	lattice := func(r *Response) string { return fmt.Sprint(r.Result.Lattice) }
+	if r := ask("a b"); lattice(r) != "[[a] [b]]" || r.Cached != "" {
+		t.Fatalf(".ilb a b: lattice %s cached %q, want a fresh [[a] [b]]", lattice(r), r.Cached)
+	}
+	if r := ask("p q"); lattice(r) != "[[p] [q]]" || r.Cached != "" {
+		t.Fatalf(".ilb p q: lattice %s cached %q, want a fresh [[p] [q]]", lattice(r), r.Cached)
+	}
+	if r := ask("a b"); lattice(r) != "[[a] [b]]" || r.Cached != "mem" {
+		t.Fatalf("repeated .ilb a b: lattice %s cached %q, want a memory hit", lattice(r), r.Cached)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -194,17 +195,16 @@ func ParseRetryAfter(header string, now time.Time) time.Duration {
 // parseRetryAfter reads a Retry-After header per RFC 7231 §7.1.3: a
 // non-negative integer delay in seconds, or an HTTP-date (converted to
 // a delay relative to now). Anything else — empty, fractional,
-// negative, duration-suffixed — yields 0, meaning "retry policy's
-// choice". The previous implementation appended "s" and ran
-// time.ParseDuration, which silently mis-read non-integer values (a
-// proxy's "2m" became "2ms", i.e. a 2-millisecond hot retry loop) and
-// rejected HTTP-dates outright.
+// negative, duration-suffixed, or a delay too long for a time.Duration —
+// yields 0, meaning "retry policy's choice". time.ParseDuration on the
+// header plus "s" would mis-read non-integer values (a proxy's "2m"
+// becomes "2ms", a 2-millisecond hot retry loop) and reject HTTP-dates.
 func parseRetryAfter(header string, now time.Time) time.Duration {
 	if header == "" {
 		return 0
 	}
 	if secs, err := strconv.Atoi(header); err == nil {
-		if secs < 0 {
+		if secs < 0 || int64(secs) > math.MaxInt64/int64(time.Second) {
 			return 0
 		}
 		return time.Duration(secs) * time.Second

@@ -26,6 +26,8 @@ func TestParseRetryAfter(t *testing.T) {
 		{"1.5", 0},  // fractional: not RFC 7231
 		{"2m", 0},   // duration syntax: not RFC 7231
 		{"soon", 0}, // junk
+		// A delay too long for a time.Duration.
+		{"10000000000", 0},
 		{now.Add(30 * time.Second).Format(http.TimeFormat), 30 * time.Second},
 		{now.Add(-time.Minute).Format(http.TimeFormat), 0}, // date in the past
 	}

@@ -88,34 +88,6 @@ func TestInboundTraceContext(t *testing.T) {
 	}
 }
 
-// TestInboundTraceContextDisabled: with propagation off the header is
-// ignored — the job trace roots locally with no fleet tags.
-func TestInboundTraceContextDisabled(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, DisableTracePropagation: true})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp := postSynthesize(t, ts.URL, fig1Request(), map[string]string{
-		obsv.TraceHeader: "t-fleet-x-7",
-	})
-	if resp.Status != StatusDone {
-		t.Fatalf("synthesis: %+v", resp)
-	}
-	raw, err := s.JobTrace(resp.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obsv.ReadTrace(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if rec.TraceID != "" || rec.RemoteParent != 0 {
-			t.Fatalf("span %q carries fleet tags with propagation disabled: %+v", rec.Span, rec)
-		}
-	}
-}
-
 // TestPerTenantSLOStats: two tenants pushing jobs through the scheduler
 // each get their own SLO rows (synthesize + first_mapping) in the
 // /v1/stats scheduler block, with observations accounted to the right

@@ -3,6 +3,8 @@ package service
 import (
 	"sync"
 	"time"
+
+	"github.com/lattice-tools/janus/internal/obsv"
 )
 
 // FlightEntry is one request summary in the flight recorder: enough to
@@ -37,7 +39,7 @@ type FlightEntry struct {
 	SolveNS     int64 `json:"solve_ns,omitempty"`
 	TotalNS     int64 `json:"total_ns"`
 	// TracePinned marks entries whose full span trace is retained beyond
-	// the normal per-job window (slow, errored, or deadline-bounded jobs).
+	// the per-job window (slow, errored, canceled or partial jobs).
 	TracePinned bool `json:"trace_pinned,omitempty"`
 }
 
@@ -47,39 +49,38 @@ const (
 	outcomeDraining = "draining"
 )
 
-// maxPinnedTraces bounds the traces kept alive by the pin rule, on top
-// of the TraceJobs recency window.
-const maxPinnedTraces = 32
+// The flight recorder's policy: the ring holds the last flightEntries
+// request summaries, and up to maxPinnedTraces traces of jobs worth a
+// post-mortem (shouldPin) outlive the traceJobs window and the job
+// retention; a job at least slowTrace slow (queue wait + solve) is one.
+const (
+	flightEntries   = 256
+	maxPinnedTraces = 32
+	slowTrace       = 2 * time.Second
+)
 
 // flightRecorder is the in-memory black box: a fixed-size ring of recent
 // FlightEntry summaries — every request gets one, including requests the
-// admission path shed — plus pinned full traces for the requests worth a
-// post-mortem (slow, errored, canceled). A nil recorder no-ops, so the
-// disabled path costs one pointer check.
+// admission path shed — plus the pinned traces of the jobs worth a
+// post-mortem (slow, errored, canceled, partial).
 type flightRecorder struct {
-	slow time.Duration // pin threshold; 0 disables the slow rule
+	pins *obsv.TraceStore
 
-	mu          sync.Mutex
-	ring        []FlightEntry
-	next        int
-	n           int
-	pinned      map[string][]byte
-	pinnedOrder []string
+	mu   sync.Mutex
+	ring []FlightEntry
+	next int
+	n    int
 }
 
-func newFlightRecorder(size int, slow time.Duration) *flightRecorder {
+func newFlightRecorder() *flightRecorder {
 	return &flightRecorder{
-		slow:   slow,
-		ring:   make([]FlightEntry, size),
-		pinned: make(map[string][]byte),
+		pins: obsv.NewTraceStore(maxPinnedTraces),
+		ring: make([]FlightEntry, flightEntries),
 	}
 }
 
 // record adds one request summary to the ring.
 func (f *flightRecorder) record(e FlightEntry) {
-	if f == nil {
-		return
-	}
 	mFlightEntries.Inc()
 	f.mu.Lock()
 	f.ring[f.next] = e
@@ -90,48 +91,11 @@ func (f *flightRecorder) record(e FlightEntry) {
 	f.mu.Unlock()
 }
 
-// shouldPin decides whether a finished job's full trace is worth
-// retaining: every non-done outcome is, every partial (degraded) answer
-// is, and so is any job whose queue-plus-solve time reached the slow
-// threshold.
-func (f *flightRecorder) shouldPin(outcome string, partial bool, total time.Duration) bool {
-	if f == nil {
-		return false
-	}
-	if outcome != StatusDone || partial {
-		return true
-	}
-	return f.slow > 0 && total >= f.slow
-}
-
-// pin retains a finished job's JSONL trace, evicting the oldest pin
-// beyond maxPinnedTraces.
-func (f *flightRecorder) pin(jobID string, jsonl []byte) {
-	if f == nil || len(jsonl) == 0 {
-		return
-	}
-	mTracesPinned.Inc()
-	f.mu.Lock()
-	if _, ok := f.pinned[jobID]; !ok {
-		f.pinnedOrder = append(f.pinnedOrder, jobID)
-		for len(f.pinnedOrder) > maxPinnedTraces {
-			delete(f.pinned, f.pinnedOrder[0])
-			f.pinnedOrder = f.pinnedOrder[1:]
-		}
-	}
-	f.pinned[jobID] = jsonl
-	f.mu.Unlock()
-}
-
-// pinnedTrace returns a pinned trace by job id.
-func (f *flightRecorder) pinnedTrace(jobID string) ([]byte, bool) {
-	if f == nil {
-		return nil, false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	b, ok := f.pinned[jobID]
-	return b, ok
+// shouldPin decides whether a finished job's trace is pinned: every
+// non-done outcome is, every partial (degraded) answer is, and so is any
+// job whose queue wait plus solve reached slowTrace.
+func shouldPin(outcome string, partial bool, total time.Duration) bool {
+	return outcome != StatusDone || partial || total >= slowTrace
 }
 
 // FlightDump is the /debug/flightrecorder (and SIGQUIT) body: the ring
@@ -144,15 +108,12 @@ type FlightDump struct {
 
 // dump snapshots the recorder.
 func (f *flightRecorder) dump() FlightDump {
-	if f == nil {
-		return FlightDump{}
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	d := FlightDump{
-		SlowThresholdMS: float64(f.slow) / float64(time.Millisecond),
+		SlowThresholdMS: float64(slowTrace) / float64(time.Millisecond),
 		Entries:         make([]FlightEntry, 0, f.n),
-		PinnedTraces:    append([]string(nil), f.pinnedOrder...),
+		PinnedTraces:    f.pins.IDs(),
 	}
 	for i := 0; i < f.n; i++ {
 		d.Entries = append(d.Entries, f.ring[(f.next-f.n+i+len(f.ring))%len(f.ring)])

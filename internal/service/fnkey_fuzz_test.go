@@ -9,13 +9,15 @@ import (
 // FuzzFnKey checks the canonical function key against the spellings a
 // PLA allows for one function: for any body the request parser accepts,
 // permuting its cube lines and repeating one of them must leave FnKeyOf
-// unchanged. The seeds are TestFnKeyGolden's inputs.
+// unchanged. The seeds are TestFnKeyGolden's inputs and one PLA with
+// input names, which are part of the key.
 func FuzzFnKey(f *testing.F) {
 	for _, pla := range []string{
 		".i 3\n.o 1\n110 1\n0-1 1\n.e\n",
 		".i 3\n.o 1\n0-1 1\n110 1\n.e\n",
 		".i 3\n.o 1\n110 1\n110 1\n0-1 1\n.e\n",
 		".i 4\n.o 1\n1111 1\n0000 1\n.e\n",
+		".i 3\n.o 1\n.ilb a b c\n110 1\n0-1 1\n.e\n",
 	} {
 		f.Add(pla, 0, int64(1))
 	}

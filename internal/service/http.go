@@ -96,9 +96,7 @@ func (s *Server) instrument(endpoint string, slo *obsv.SLO, lvl slog.Level, h ht
 		ctx := obsv.ContextWithRequestID(r.Context(), id)
 		// Inbound trace context (a front hop forwarding its span id). The
 		// header is untrusted; the parser applies the request-id policy and
-		// malformed values simply mean "no remote parent". The propagation
-		// switch is honored at admission (Server.traceContext), so embedded
-		// callers see identical behavior to HTTP ones.
+		// malformed values simply mean "no remote parent".
 		if tc, ok := obsv.ParseTraceContext(r.Header.Get(obsv.TraceHeader)); ok {
 			ctx = obsv.ContextWithTraceContext(ctx, tc)
 		}
@@ -263,6 +261,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p == nil {
+		// A batch job carries no progress stream.
 		writeError(w, http.StatusNotFound, "progress disabled", reqID)
 		return
 	}
@@ -361,12 +360,10 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	reqID := obsv.RequestIDFromContext(r.Context())
 	data, err := s.JobTrace(r.PathValue("id"))
 	switch {
-	case errors.Is(err, ErrUnknownJob):
+	case errors.Is(err, ErrUnknownJob), errors.Is(err, ErrNoTrace):
 		writeError(w, http.StatusNotFound, err.Error(), reqID)
 	case errors.Is(err, ErrNotFinished):
 		writeError(w, http.StatusConflict, err.Error(), reqID)
-	case errors.Is(err, ErrNoTrace):
-		writeError(w, http.StatusNotFound, err.Error(), reqID)
 	default:
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.Write(data) //nolint:errcheck // client gone is not actionable
@@ -377,12 +374,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	if !s.FlightEnabled() {
-		writeError(w, http.StatusNotFound, "flight recorder disabled",
-			obsv.RequestIDFromContext(r.Context()))
-		return
-	}
+func (s *Server) handleFlightRecorder(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Flight())
 }
 

@@ -19,9 +19,9 @@ import (
 // request fail.
 //
 // The lookup endpoint applies the same budget-compatibility rules as
-// the local request path (exact key, then the budgetHit rules), so a
-// peer never hands out an answer the asking daemon could not have
-// served itself.
+// the local request path (Server.probe: exact key, then the budget
+// index), so a peer never hands out an answer the asking daemon could
+// not have served itself.
 //
 // The hint is untrusted client input: anyone who can POST /v1/synthesize
 // controls the header. A daemon that dereferenced it blindly could be
@@ -82,26 +82,17 @@ func (s *Server) CacheLookup(fnKey string, timeoutMS, maxConflicts int64) (*Cach
 	}
 	mPeerLookups.Inc()
 	p := &parsedRequest{ident: identOf(fnKey, Request{TimeoutMS: timeoutMS, MaxConflicts: maxConflicts})}
-	if out, _, ok := s.cached(p.key, nil); ok && out.Status == StatusDone && out.Result != nil {
-		mc, to := s.budgetOf(p)
-		mPeerLookupHits.Inc()
-		return &CacheEntry{
-			FnKey: fnKey, Key: p.key,
-			MaxConflictsNorm: mc, TimeoutNS: int64(to),
-			MatchedLB: out.Result.MatchedLB,
-			Status:    out.Status, Result: out.Result,
-		}, true
+	out, _, e, ok := s.probe(p, nil)
+	if !ok || out.Status != StatusDone || out.Result == nil {
+		return nil, false
 	}
-	if out, e, ok := s.budgetMatch(p); ok && out.Status == StatusDone && out.Result != nil {
-		mPeerLookupHits.Inc()
-		return &CacheEntry{
-			FnKey: fnKey, Key: e.key,
-			MaxConflictsNorm: e.mc, TimeoutNS: int64(e.timeout),
-			MatchedLB: e.matchedLB,
-			Status:    out.Status, Result: out.Result,
-		}, true
-	}
-	return nil, false
+	mPeerLookupHits.Inc()
+	return &CacheEntry{
+		FnKey: fnKey, Key: e.key,
+		MaxConflictsNorm: e.mc, TimeoutNS: int64(e.timeout),
+		MatchedLB: e.matchedLB,
+		Status:    out.Status, Result: out.Result,
+	}, true
 }
 
 // SetPeers replaces the peer-fill allowlist (normally Config.Peers at

@@ -20,6 +20,10 @@ import (
 // folding them in would break the top-level lb/ub monotonicity the
 // stream promises (lb never decreases, ub never increases).
 
+// progressEvents bounds each job's event ring, the window a client can
+// resume over.
+const progressEvents = 512
+
 // ProgressEventJSON is the wire form of one progress event. Seq is the
 // SSE event id: per-job, 1-based, strictly increasing, so a client that
 // reconnects with Last-Event-ID resumes exactly where it dropped (as
@@ -72,8 +76,8 @@ type ProgressJSON struct {
 
 // progressState is one job's progress stream + snapshot. Safe for
 // concurrent use: the synthesis goroutine appends, any number of HTTP
-// streamers read. A nil state no-ops on every method, so the disabled
-// path costs one pointer check.
+// streamers read. A batch job has none, and a nil state no-ops on every
+// method, so its path costs one pointer check.
 type progressState struct {
 	start time.Time // enqueue time; event t_ms and first-mapping base
 

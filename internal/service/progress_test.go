@@ -446,15 +446,15 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 }
 
-// TestEventsEndpointErrors: unknown jobs and disabled progress both
-// answer 404, with distinct messages.
+// TestEventsEndpointErrors: unknown jobs and batch jobs, which carry no
+// progress stream, both answer 404, with distinct messages.
 func TestEventsEndpointErrors(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, ProgressEvents: -1})
+	s := newTestServer(t, Config{Workers: 1})
 	gate := make(chan struct{})
 	defer close(gate)
-	s.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
+	s.synthMulti = func(fns []cube.Cover, opt core.Options, reduce bool) (*core.MultiResult, error) {
 		<-gate
-		return fakeResult(), nil
+		return fakeMultiResult(len(fns)), nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -465,28 +465,28 @@ func TestEventsEndpointErrors(t *testing.T) {
 	if _, err := client.JobEvents(ctx, "nope", 0, 0); !errors.As(err, &ae) || ae.Code != 404 {
 		t.Fatalf("unknown job: %v", err)
 	}
-	resp, err := client.Synthesize(ctx, Request{PLA: fig1PLA, Async: true})
+	resp, err := client.SynthesizeBatch(ctx, BatchRequest{PLA: fig1PLA, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.JobEvents(ctx, resp.JobID, 0, 0); !errors.As(err, &ae) || ae.Code != 404 {
-		t.Fatalf("disabled progress: %v", err)
+		t.Fatalf("batch job events: %v", err)
 	}
-	// With progress off, job polls simply omit the snapshot.
+	// A batch job's polls simply omit the snapshot.
 	jr, err := client.Job(ctx, resp.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jr.Progress != nil {
-		t.Fatal("disabled progress leaked a snapshot into the poll")
+		t.Fatal("a batch job leaked a progress snapshot into the poll")
 	}
 }
 
 // TestProgressRingSizedByEvents: a job's ring takes memory only for the
 // events it emitted. A finished job with k events holds a ring of k
 // events whose capacity is below 2k: a real synthesis, and a fake one
-// emitting more events than a small ring keeps, which then holds exactly
-// the ring's size.
+// emitting more events than the ring keeps, which then holds exactly
+// progressEvents.
 func TestProgressRingSizedByEvents(t *testing.T) {
 	ring := func(s *Server, id string) (n, c int, seq uint64) {
 		t.Helper()
@@ -510,20 +510,20 @@ func TestProgressRingSizedByEvents(t *testing.T) {
 		t.Fatalf("synthesis with %d events holds %d in a ring of capacity %d", k, n, c)
 	}
 
-	const size, emitted = 64, 100
-	small := newTestServer(t, Config{Workers: 1, ProgressEvents: size})
-	small.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
+	const size, emitted = progressEvents, progressEvents + 36
+	long := newTestServer(t, Config{Workers: 1})
+	long.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
 		sink := obsv.ProgressFromContext(opt.Ctx)
 		for i := 1; i < emitted; i++ {
-			sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressBound, LB: 1, UB: 100 - i})
+			sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressBound, LB: 1, UB: emitted - i})
 		}
 		return fakeResult(), nil
 	}
-	resp, err = small.Synthesize(context.Background(), Request{PLA: fig1PLA, Async: true})
+	resp, err = long.Synthesize(context.Background(), Request{PLA: fig1PLA, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, c, k := ring(small, resp.JobID); k != emitted || n != size || c >= 2*size {
+	if n, c, k := ring(long, resp.JobID); k != emitted || n != size || c >= 2*size {
 		t.Fatalf("%d events in a ring of %d: holds %d, capacity %d", k, size, n, c)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"github.com/lattice-tools/janus/internal/core"
 	"github.com/lattice-tools/janus/internal/cube"
@@ -86,8 +87,8 @@ type Response struct {
 	// job polls for batch jobs); exactly one of Result / Batch is set on
 	// a done answer.
 	Batch *BatchResultJSON `json:"batch,omitempty"`
-	// Progress is the live snapshot for polled jobs (GET /v1/jobs/{id}
-	// with progress enabled): current phase, bounds, best incumbent.
+	// Progress is the live snapshot for polled single-function jobs
+	// (GET /v1/jobs/{id}): current phase, bounds, best incumbent.
 	Progress *ProgressJSON `json:"progress,omitempty"`
 }
 
@@ -142,21 +143,20 @@ func parseRequest(req Request) (*parsedRequest, error) {
 		return nil, fmt.Errorf("negative budget")
 	}
 	return &parsedRequest{
-		ident: identOf(canonicalFnKey(cover), req),
+		ident: identOf(canonicalFnKey(cover, f.InputNames), req),
 		cover: cover,
 		names: f.InputNames,
 	}, nil
 }
 
 // canonicalFnKey builds the budget-free part of a request's identity: the
-// target function in canonical cube order, but none of the budget fields.
-// Two PLA
-// texts that spell the same cover (cube order, whitespace, comments,
-// other outputs, repeated cubes) map to the same fnKey. Cubes are
-// deduplicated after sorting: a cover with a repeated cube denotes the
-// same function, so it must not hash differently — before this, the
-// redundant spelling missed both coalescing and the result cache.
-func canonicalFnKey(f cube.Cover) string {
+// target function in canonical cube order and the input names the
+// answer is spelled in, but none of the budget fields. Two PLA texts
+// that spell the same cover (cube order, whitespace, comments, other
+// outputs, repeated cubes) under the same names map to the same fnKey:
+// cubes are deduplicated after sorting, since a repeated cube denotes
+// the same function.
+func canonicalFnKey(f cube.Cover, names []string) string {
 	cubes := append([]cube.Cube(nil), f.Cubes...)
 	sort.Slice(cubes, func(i, j int) bool {
 		if cubes[i].Pos != cubes[j].Pos {
@@ -183,6 +183,20 @@ func canonicalFnKey(f cube.Cover) string {
 	// it stays zero so keys from before the removal, persisted in disk
 	// caches and routed on by the front, remain valid.
 	h.Write([]byte{0})
+	// A cached lattice is spelled in its request's input names, so names
+	// other than the parser's defaults (x0 … x{n-1}) are part of the
+	// question. They follow the option byte, each length-prefixed, and
+	// the default names add nothing: unnamed PLAs keep their keys.
+	for v, name := range names {
+		if name != "x"+strconv.Itoa(v) {
+			for _, name := range names {
+				binary.LittleEndian.PutUint64(b[:], uint64(len(name)))
+				h.Write(b[:])
+				h.Write([]byte(name))
+			}
+			break
+		}
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -190,7 +204,7 @@ func canonicalFnKey(f cube.Cover) string {
 // budget fields. TimeoutMS and MaxConflicts are part of the key because
 // a tighter budget may legitimately settle for a larger lattice —
 // callers with different patience are not asking the same question. The
-// budget index (Server.budgetHit) layers the sound cross-budget reuse
+// budget index (Server.probe) layers the sound cross-budget reuse
 // rules on top of this exact identity.
 func canonicalKey(fnKey string, req Request) string {
 	h := sha256.New()

@@ -55,51 +55,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 
-	// TraceJobs bounds how many finished jobs keep their full span trace
-	// retrievable via GET /v1/jobs/{id}/trace (default 64; negative
-	// disables per-job tracing, leaving only the flight recorder).
-	TraceJobs int
-	// TraceSpans bounds each job's trace buffer (default
-	// obsv.DefaultTraceSpans); its byte bound is obsv.DefaultTraceBytes.
-	TraceSpans int
-	// FlightEntries sizes the flight recorder's request-summary ring
-	// (default 256; negative disables the recorder).
-	FlightEntries int
-	// SlowTrace pins the full trace of any job at least this slow
-	// (queue wait + solve) in the flight recorder, alongside errored and
-	// canceled jobs (default 2s; negative disables the slow rule).
-	SlowTrace time.Duration
-	// SynthSLO / JobsSLO are the per-endpoint latency objectives behind
-	// the burn-rate gauges (defaults 30s and 100ms); SLOTarget is the
-	// good fraction both must meet (default 0.99).
-	SynthSLO  time.Duration
-	JobsSLO   time.Duration
-	SLOTarget float64
-	// ProgressEvents bounds each job's progress-event ring, the window
-	// GET /v1/jobs/{id}/events can resume over (default 512; negative
-	// disables per-job progress entirely, including the snapshot in job
-	// polls and the anytime SLO).
-	ProgressEvents int
-	// FirstMappingSLO is the anytime objective: how quickly a job should
-	// hold its first verified mapping, enqueue to incumbent (default
-	// 10s). Jobs that finish without any mapping count against it.
-	FirstMappingSLO time.Duration
-	// TenantSynthSLO / TenantFirstMappingSLO are the per-tenant latency
-	// objectives behind the tenant-labeled burn gauges and the SLO rows in
-	// the /v1/stats scheduler block. Zero inherits SynthSLO /
-	// FirstMappingSLO; negative disables per-tenant SLO tracking. The
-	// tenant SLO measures job end-to-end time (queue wait + solve), not
-	// HTTP handler latency, so a tenant queued behind a noisy neighbor
-	// burns budget even when each individual solve is fast.
-	TenantSynthSLO        time.Duration
-	TenantFirstMappingSLO time.Duration
-	// DisableTracePropagation, when set, makes the daemon ignore inbound
-	// X-Janus-Trace headers: every job trace roots locally instead of
-	// under the remote caller's span. Propagation is on by default — the
-	// header is parsed under the same strict policy as request ids, so an
-	// unparseable or hostile value degrades to a local root, never an
-	// error.
-	DisableTracePropagation bool
 	// Tenants configures named tenants' scheduling shares; tenants not
 	// listed here get TenantDefaults on first sight. See TenantConfig.
 	Tenants map[string]TenantConfig
@@ -107,12 +62,6 @@ type Config struct {
 	// (zero fields resolve to: weight 1, queue share = QueueDepth,
 	// in-flight unlimited).
 	TenantDefaults TenantConfig
-	// BatchReduceBudget caps the LM solves one batch may spend in the
-	// shared row-reduction phase (0 = default 8, negative = unlimited).
-	// The cap is what keeps a batch strictly cheaper than independent
-	// submissions: the per-output searches skip the dichotomic-search
-	// bounds, and the reduction must not spend back more than that saves.
-	BatchReduceBudget int
 	// Peers allowlists the daemon base URLs this server may fill its
 	// cache from. The X-Janus-Fill-From hint is untrusted client input —
 	// honoring an arbitrary URL would let any client make the daemon
@@ -140,62 +89,6 @@ func (c *Config) fill() {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = time.Hour
 	}
-	// Zero means default, negative means disabled (normalized to 0).
-	switch {
-	case c.TraceJobs == 0:
-		c.TraceJobs = 64
-	case c.TraceJobs < 0:
-		c.TraceJobs = 0
-	}
-	switch {
-	case c.FlightEntries == 0:
-		c.FlightEntries = 256
-	case c.FlightEntries < 0:
-		c.FlightEntries = 0
-	}
-	switch {
-	case c.SlowTrace == 0:
-		c.SlowTrace = 2 * time.Second
-	case c.SlowTrace < 0:
-		c.SlowTrace = 0
-	}
-	switch {
-	case c.ProgressEvents == 0:
-		c.ProgressEvents = 512
-	case c.ProgressEvents < 0:
-		c.ProgressEvents = 0
-	}
-	if c.FirstMappingSLO <= 0 {
-		c.FirstMappingSLO = 10 * time.Second
-	}
-	switch {
-	case c.BatchReduceBudget == 0:
-		c.BatchReduceBudget = 8
-	case c.BatchReduceBudget < 0:
-		c.BatchReduceBudget = 0 // unlimited
-	}
-	if c.SynthSLO <= 0 {
-		c.SynthSLO = 30 * time.Second
-	}
-	if c.JobsSLO <= 0 {
-		c.JobsSLO = 100 * time.Millisecond
-	}
-	if c.SLOTarget <= 0 || c.SLOTarget >= 1 {
-		c.SLOTarget = 0.99
-	}
-	// Resolved after SynthSLO/FirstMappingSLO so zero can inherit them.
-	switch {
-	case c.TenantSynthSLO == 0:
-		c.TenantSynthSLO = c.SynthSLO
-	case c.TenantSynthSLO < 0:
-		c.TenantSynthSLO = 0
-	}
-	switch {
-	case c.TenantFirstMappingSLO == 0:
-		c.TenantFirstMappingSLO = c.FirstMappingSLO
-	case c.TenantFirstMappingSLO < 0:
-		c.TenantFirstMappingSLO = 0
-	}
 	if c.Logger == nil {
 		c.Logger = obsv.NopLogger()
 	}
@@ -203,6 +96,26 @@ func (c *Config) fill() {
 
 // retainJobs bounds how many finished jobs stay pollable by id.
 const retainJobs = 1024
+
+// traceJobs bounds the window of finished jobs whose span traces
+// GET /v1/jobs/{id}/trace serves; beyond it only pinned traces remain
+// (shouldPin).
+const traceJobs = 64
+
+// The latency objectives behind the burn-rate gauges: POST
+// /v1/synthesize, GET /v1/jobs/{id}, and the anytime objective, enqueue
+// to the first verified mapping (jobs that finish without a mapping
+// count against it). Each tenant gets the synthesize and first-mapping
+// objectives too, measured on its jobs' queue wait plus solve rather
+// than on HTTP handler latency, so a tenant queued behind a noisy
+// neighbor burns budget even when each solve is fast. sloTarget is the
+// good fraction every objective must meet.
+const (
+	synthSLO        = 30 * time.Second
+	jobsSLO         = 100 * time.Millisecond
+	firstMappingSLO = 10 * time.Second
+	sloTarget       = 0.99
+)
 
 // Server is the synthesis service. Create with NewServer, serve its
 // Handler, stop with Shutdown.
@@ -217,8 +130,10 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// flight is nil when the recorder is disabled; sloSynth/sloJobs are
-	// nil-safe and only observed from the HTTP layer.
+	// traces is the window of the last traceJobs finished jobs' traces;
+	// the flight recorder pins the ones worth a post-mortem beyond it.
+	// sloSynth/sloJobs are observed from the HTTP layer.
+	traces      *obsv.TraceStore
 	flight      *flightRecorder
 	sloSynth    *obsv.SLO
 	sloJobs     *obsv.SLO
@@ -232,19 +147,18 @@ type Server struct {
 	// a weighted deficit-round-robin dispatcher (tenant.go). cond wakes
 	// workers on enqueue, job completion (in-flight caps may have
 	// unblocked a tenant), and drain.
-	sched      *scheduler
-	cond       *sync.Cond
-	inflight   map[string]*job // queued or running, by canonical key
-	jobs       map[string]*job // by id, finished jobs retained
-	doneOrder  []string        // finished ids, oldest first
-	traceOrder []string        // finished ids still holding a trace buffer
-	seq        uint64
-	nonce      string
+	sched     *scheduler
+	cond      *sync.Cond
+	inflight  map[string]*job // queued or running, by canonical key
+	jobs      map[string]*job // by id, finished jobs retained
+	doneOrder []string        // finished ids, oldest first
+	seq       uint64
+	nonce     string
 
 	// budgets indexes finished answers by budget-free function key, so a
 	// request whose exact (function, budget) key misses can still be
 	// served by an answer computed under a compatible budget (see
-	// budgetHit). Guarded by budMu, not mu: lookups happen on the request
+	// probe). Guarded by budMu, not mu: lookups happen on the request
 	// path before admission.
 	budMu   sync.Mutex
 	budgets map[string][]budgetEntry
@@ -334,9 +248,8 @@ type job struct {
 	async     bool
 	status    string
 	queueWait time.Duration
-	solveTime time.Duration     // the core call alone; set by Server.call
-	trace     *obsv.TraceBuffer // nil until running, or with tracing off
-	progress  *progressState    // nil with progress disabled
+	solveTime time.Duration  // the core call alone; set by Server.call
+	progress  *progressState // nil for batch jobs
 	out       *outcome
 	done      chan struct{}
 }
@@ -355,11 +268,11 @@ func (j *job) endpoint() string {
 func NewServer(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
-		cfg: cfg,
-		mem: newMemCache(cfg.MemEntries),
-		sched: newScheduler(cfg.QueueDepth, cfg.TenantDefaults, cfg.Tenants, tenantSLOCfg{
-			synth: cfg.TenantSynthSLO, firstMap: cfg.TenantFirstMappingSLO, target: cfg.SLOTarget,
-		}),
+		cfg:        cfg,
+		mem:        newMemCache(cfg.MemEntries),
+		sched:      newScheduler(cfg.QueueDepth, cfg.TenantDefaults, cfg.Tenants),
+		traces:     obsv.NewTraceStore(traceJobs),
+		flight:     newFlightRecorder(),
 		inflight:   make(map[string]*job),
 		jobs:       make(map[string]*job),
 		budgets:    make(map[string][]budgetEntry),
@@ -372,12 +285,9 @@ func NewServer(cfg Config) (*Server, error) {
 	rand.Read(nonce[:]) //nolint:errcheck // crypto/rand never fails on supported platforms
 	s.nonce = hex.EncodeToString(nonce[:])
 	s.log = cfg.Logger
-	if cfg.FlightEntries > 0 {
-		s.flight = newFlightRecorder(cfg.FlightEntries, cfg.SlowTrace)
-	}
-	s.sloSynth = obsv.NewSLO("synthesize", cfg.SynthSLO, cfg.SLOTarget)
-	s.sloJobs = obsv.NewSLO("jobs", cfg.JobsSLO, cfg.SLOTarget)
-	s.sloFirstMap = obsv.NewSLO("first_mapping", cfg.FirstMappingSLO, cfg.SLOTarget)
+	s.sloSynth = obsv.NewSLO("synthesize", synthSLO, sloTarget)
+	s.sloJobs = obsv.NewSLO("jobs", jobsSLO, sloTarget)
+	s.sloFirstMap = obsv.NewSLO("first_mapping", firstMappingSLO, sloTarget)
 	s.sloSynth.Register(obsv.Default, "janus_service_slo_synthesize")
 	s.sloJobs.Register(obsv.Default, "janus_service_slo_jobs")
 	s.sloFirstMap.Register(obsv.Default, "janus_service_slo_first_mapping")
@@ -461,7 +371,8 @@ func (s *Server) serve(ctx context.Context, w work) (*Response, error) {
 		})
 		return withMeta(respond(out, "", where), reqID, id.fnKey), nil
 	}
-	j, coalesced, err := s.admit(w, reqID, tenantFromContext(ctx), s.traceContext(ctx))
+	tc, _ := obsv.TraceContextFromContext(ctx)
+	j, coalesced, err := s.admit(w, reqID, tenantFromContext(ctx), tc)
 	if err != nil {
 		// Shed and drain refusals go in the flight recorder too: a burst
 		// of 429s is exactly the kind of incident it exists to replay.
@@ -510,17 +421,6 @@ func (s *Server) serve(ctx context.Context, w work) (*Response, error) {
 // newRequestID mints a process-unique request id.
 func (s *Server) newRequestID() string {
 	return fmt.Sprintf("r%s-%d", s.nonce, s.reqSeq.Add(1))
-}
-
-// traceContext reads the inbound trace context for a request, honoring
-// the propagation switch (a job admitted while propagation is off roots
-// its trace locally).
-func (s *Server) traceContext(ctx context.Context) obsv.TraceContext {
-	if s.cfg.DisableTracePropagation {
-		return obsv.TraceContext{}
-	}
-	tc, _ := obsv.TraceContextFromContext(ctx)
-	return tc
 }
 
 // withMeta stamps the request id and function key on a response.
@@ -618,12 +518,12 @@ func (s *Server) admit(w work, reqID, tenant string, tc obsv.TraceContext) (*job
 		status:    StatusQueued,
 		done:      make(chan struct{}),
 	}
-	if _, single := w.(*parsedRequest); single && s.cfg.ProgressEvents > 0 {
+	if _, single := w.(*parsedRequest); single {
 		// Created at admission so the events stream exists (and buffers)
 		// from the first queued moment, not only once a worker picks the
 		// job up. Batch jobs carry no progress stream: the per-output
 		// searches would interleave into one incoherent event sequence.
-		j.progress = newProgressState(s.cfg.ProgressEvents, j.enqueued)
+		j.progress = newProgressState(progressEvents, j.enqueued)
 	}
 	// The job deadline covers queue wait plus synthesis and holds even
 	// after every waiter is gone, so async jobs cannot run forever.
@@ -683,8 +583,8 @@ func (s *Server) Job(id string) (*Response, bool) {
 }
 
 // JobEvents returns a job's progress stream handle for the events
-// endpoint: the state (nil when progress is disabled) plus whether the
-// job exists at all.
+// endpoint: the state (nil for a batch job) plus whether the job exists
+// at all.
 func (s *Server) JobEvents(id string) (*progressState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -735,7 +635,6 @@ func (s *Server) worker() {
 // outcome, one flight entry per job.
 func (s *Server) run(j *job) {
 	fnKey := fnPrefix(j.work.id().fnKey)
-	var jobSpan *obsv.Span
 	s.mu.Lock()
 	if j.ctx.Err() == context.Canceled {
 		j.progress.finish(StatusCanceled, 0, 0, false)
@@ -751,33 +650,28 @@ func (s *Server) run(j *job) {
 	}
 	j.status = StatusRunning
 	j.queueWait = time.Since(j.enqueued)
-	if s.cfg.TraceJobs > 0 {
-		// j.trace is assigned under the mutex so JobTrace never races it.
-		j.trace = obsv.NewTraceBuffer(s.cfg.TraceSpans, obsv.DefaultTraceBytes)
-		tracer := obsv.NewTracer(j.trace)
-		if j.traceCtx.Valid() {
-			// An inbound X-Janus-Trace header roots this job under the
-			// remote caller's span: the tracer stamps the fleet trace id and
-			// process tag on every span, and Job carries the advisory
-			// remote parent the front resolves when stitching.
-			tracer.SetTrace(j.traceCtx.TraceID, "janusd")
-		}
-		jobSpan = obsv.StartRemote(tracer, j.traceCtx.Parent, "Job")
-	}
 	tq := s.sched.tenant(j.tenant)
 	s.mu.Unlock()
 	endpoint := j.endpoint()
 	hQueueWaitNS.Observe(int64(j.queueWait))
 	tq.observeQueueWait(endpoint, j.queueWait)
 
+	trace := obsv.NewTraceBuffer(obsv.DefaultTraceSpans, obsv.DefaultTraceBytes)
+	tracer := obsv.NewTracer(trace)
+	if j.traceCtx.Valid() {
+		// An inbound X-Janus-Trace header roots this job under the remote
+		// caller's span: the tracer stamps the fleet trace id and process
+		// tag on every span, and Job carries the advisory remote parent the
+		// front resolves when stitching.
+		tracer.SetTrace(j.traceCtx.TraceID, "janusd")
+	}
+	jobSpan := obsv.StartRemote(tracer, j.traceCtx.Parent, "Job")
 	jobSpan.SetStr("job_id", j.id)
 	jobSpan.SetStr("request_id", j.requestID)
 	jobSpan.SetStr("fn_key", fnKey)
 	jobSpan.SetInt("queue_wait_ns", int64(j.queueWait))
 	ctx := obsv.ContextWithRequestID(j.ctx, j.requestID)
-	if jobSpan != nil {
-		ctx = obsv.ContextWithSpan(obsv.ContextWithTracer(ctx, jobSpan.Tracer()), jobSpan)
-	}
+	ctx = obsv.ContextWithSpan(obsv.ContextWithTracer(ctx, tracer), jobSpan)
 	if j.progress != nil {
 		ctx = obsv.ContextWithProgress(ctx, j.progress)
 	}
@@ -804,8 +698,8 @@ func (s *Server) run(j *job) {
 		fm := j.progress.firstMappingAt()
 		if fm == 0 {
 			fm = total
-			if fm <= s.cfg.FirstMappingSLO {
-				fm = s.cfg.FirstMappingSLO + 1
+			if fm <= firstMappingSLO {
+				fm = firstMappingSLO + 1
 			}
 		} else {
 			hFirstMappingNS.Observe(int64(fm))
@@ -819,13 +713,14 @@ func (s *Server) run(j *job) {
 		jobSpan.SetInt("size", int64(entry.FinalUB))
 	}
 	jobSpan.End() // last span to end: survives any buffer eviction
+	// The trace is final now, and stored before the job reads as finished.
+	s.traces.Put(j.id, trace)
 
 	tq.observeE2E(endpoint, total)
-	if s.flight.shouldPin(out.Status, entry.Partial, total) {
-		if b := j.trace.Bytes(); len(b) > 0 {
-			s.flight.pin(j.id, b)
-			entry.TracePinned = true
-		}
+	if shouldPin(out.Status, entry.Partial, total) {
+		mTracesPinned.Inc()
+		s.flight.pins.Put(j.id, trace)
+		entry.TracePinned = true
 	}
 	s.flight.record(entry)
 	s.log.Info("job finished", "job_id", j.id, "request_id", j.requestID,
@@ -860,10 +755,7 @@ func (s *Server) call(j *job, synthesize func()) (canceled bool) {
 // budget index, then the previous owner's cache when a front tier hints
 // at one.
 func (p *parsedRequest) lookup(ctx context.Context, s *Server) (*outcome, string, bool) {
-	if out, where, ok := s.cached(p.key, p.realizes); ok {
-		return out, where, true
-	}
-	if out, where, ok := s.budgetHit(p); ok {
+	if out, where, _, ok := s.probe(p, p.realizes); ok {
 		return out, where, true
 	}
 	// Reshard warm-up: a front tier that just moved this key here hints
@@ -939,17 +831,6 @@ func (s *Server) finishLocked(j *job, out *outcome) {
 		delete(s.jobs, s.doneOrder[0])
 		s.doneOrder = s.doneOrder[1:]
 	}
-	// Traces are retained on a shorter window than job states: beyond
-	// TraceJobs finished jobs only the flight recorder's pins survive.
-	if j.trace != nil {
-		s.traceOrder = append(s.traceOrder, j.id)
-		for len(s.traceOrder) > s.cfg.TraceJobs {
-			if oj, ok := s.jobs[s.traceOrder[0]]; ok {
-				oj.trace = nil
-			}
-			s.traceOrder = s.traceOrder[1:]
-		}
-	}
 	close(j.done)
 }
 
@@ -961,51 +842,41 @@ var (
 	// ErrNotFinished: the job exists but has not reached a terminal
 	// status; its trace is still being written.
 	ErrNotFinished = fmt.Errorf("service: job not finished")
-	// ErrNoTrace: the job finished but no trace is retained (tracing
-	// disabled, or evicted from the TraceJobs window without a pin).
+	// ErrNoTrace: the job finished but no trace is retained (it left the
+	// traceJobs window without a pin, or was canceled while queued).
 	ErrNoTrace = fmt.Errorf("service: no trace retained")
 )
 
 // JobTrace returns a finished job's span trace as JSONL (the schema
-// obsv.ValidateTrace checks). Pinned traces in the flight recorder are
-// consulted as a fallback, so slow or failed jobs stay inspectable after
-// the normal retention window moves past them.
+// obsv.ValidateTrace checks). It reads the window of the last traceJobs
+// finished jobs, then the flight recorder's pins, so slow or failed jobs
+// stay inspectable after the window and the job retention move past
+// them. The job's state is read first: a trace is stored before its job
+// reads as finished, so a finished job's trace is found unless evicted.
 func (s *Server) JobTrace(id string) ([]byte, error) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var buf *obsv.TraceBuffer
-	var finished bool
-	if ok {
-		finished = j.out != nil
-		buf = j.trace
-	}
+	j, known := s.jobs[id]
+	finished := known && j.out != nil
 	s.mu.Unlock()
-	if !ok {
-		if b, pinned := s.flight.pinnedTrace(id); pinned {
-			return b, nil
-		}
-		return nil, ErrUnknownJob
+	if b, ok := s.traces.Get(id); ok {
+		return b.Bytes(), nil
 	}
-	if !finished {
+	if b, ok := s.flight.pins.Get(id); ok {
+		return b.Bytes(), nil
+	}
+	switch {
+	case !known:
+		return nil, ErrUnknownJob
+	case !finished:
 		return nil, ErrNotFinished
 	}
-	if buf == nil {
-		if b, pinned := s.flight.pinnedTrace(id); pinned {
-			return b, nil
-		}
-		return nil, ErrNoTrace
-	}
-	return buf.Bytes(), nil
+	return nil, ErrNoTrace
 }
 
-// Flight returns the flight recorder's current contents (empty when the
-// recorder is disabled).
+// Flight returns the flight recorder's current contents.
 func (s *Server) Flight() FlightDump {
 	return s.flight.dump()
 }
-
-// FlightEnabled reports whether the recorder is on.
-func (s *Server) FlightEnabled() bool { return s.flight != nil }
 
 // Stats is the /healthz and /v1/stats body.
 type Stats struct {
@@ -1032,14 +903,13 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	draining := s.draining
 	depth := s.sched.total
-	traced := len(s.traceOrder)
 	sched := s.sched.stats()
 	s.mu.Unlock()
 	return Stats{
 		Draining: draining, QueueDepth: depth, QueueCapacity: s.cfg.QueueDepth,
 		Running: gRunning.Value(), Workers: s.cfg.Workers,
 		DiskEntries: s.disk.len(), MemoLoaded: gMemoLoaded.Value(),
-		TracedJobs: traced, Scheduler: &sched,
+		TracedJobs: len(s.traces.IDs()), Scheduler: &sched,
 		SLOs: []obsv.SLOSnapshot{s.sloSynth.Snapshot(), s.sloJobs.Snapshot(),
 			s.sloFirstMap.Snapshot()},
 	}

@@ -75,11 +75,11 @@ type tenantQ struct {
 	mAdmits *obsv.Counter
 	mSheds  *obsv.Counter
 
-	// Per-tenant latency objectives (nil when disabled): sloSynth measures
-	// job end-to-end time (queue wait + solve) against the tenant SLO,
-	// sloFirstMap the anytime first-mapping objective. Both publish
-	// tenant-labeled burn gauges, so one tenant burning budget is visible
-	// next to the fleet-wide endpoint SLOs.
+	// Per-tenant latency objectives: sloSynth measures job end-to-end
+	// time (queue wait + solve) against synthSLO, sloFirstMap the anytime
+	// first-mapping objective. Both publish tenant-labeled burn gauges, so
+	// one tenant burning budget is visible next to the fleet-wide
+	// endpoint SLOs.
 	sloSynth    *obsv.SLO
 	sloFirstMap *obsv.SLO
 }
@@ -105,22 +105,11 @@ func (tq *tenantQ) observeFirstMapping(d time.Duration) {
 	tq.sloFirstMap.Observe(d)
 }
 
-// tenantSLOCfg carries the per-tenant latency objectives into the
-// scheduler, which owns tenant lifecycle (lazy creation, fold past the
-// tracking cap) and so is where per-tenant SLOs are minted. A zero
-// objective disables that SLO (nil *obsv.SLO discards observations).
-type tenantSLOCfg struct {
-	synth    time.Duration // end-to-end (queue wait + solve) objective
-	firstMap time.Duration // anytime first-mapping objective
-	target   float64       // good fraction both must meet
-}
-
 // scheduler is the weighted deficit-round-robin dispatcher. It is not
 // self-locking: every method runs under Server.mu.
 type scheduler struct {
 	defaults TenantConfig
 	capTotal int
-	slo      tenantSLOCfg
 
 	tenants map[string]*tenantQ
 	order   []*tenantQ // creation order; rr indexes into it
@@ -146,11 +135,10 @@ func normalizeTenantConfig(cfg TenantConfig, capTotal int) TenantConfig {
 	return cfg
 }
 
-func newScheduler(capTotal int, defaults TenantConfig, tenants map[string]TenantConfig, slo tenantSLOCfg) *scheduler {
+func newScheduler(capTotal int, defaults TenantConfig, tenants map[string]TenantConfig) *scheduler {
 	sc := &scheduler{
 		defaults: normalizeTenantConfig(defaults, capTotal),
 		capTotal: capTotal,
-		slo:      slo,
 		tenants:  make(map[string]*tenantQ),
 	}
 	// The default tenant always exists, so folding past the tracking cap
@@ -173,15 +161,12 @@ func (sc *scheduler) addTenant(name string, cfg TenantConfig) *tenantQ {
 		gDepth:  obsv.Default.Gauge(obsv.LabeledName("janus_service_tenant_queue_depth", "tenant", name)),
 		mAdmits: obsv.Default.Counter(obsv.LabeledName("janus_service_tenant_admits_total", "tenant", name)),
 		mSheds:  obsv.Default.Counter(obsv.LabeledName("janus_service_tenant_sheds_total", "tenant", name)),
+
+		sloSynth:    obsv.NewSLO("synthesize", synthSLO, sloTarget),
+		sloFirstMap: obsv.NewSLO("first_mapping", firstMappingSLO, sloTarget),
 	}
-	if sc.slo.synth > 0 {
-		tq.sloSynth = obsv.NewSLO("synthesize", sc.slo.synth, sc.slo.target)
-		tq.sloSynth.RegisterLabeled(obsv.Default, "janus_service_tenant_slo_synthesize", "tenant", name)
-	}
-	if sc.slo.firstMap > 0 {
-		tq.sloFirstMap = obsv.NewSLO("first_mapping", sc.slo.firstMap, sc.slo.target)
-		tq.sloFirstMap.RegisterLabeled(obsv.Default, "janus_service_tenant_slo_first_mapping", "tenant", name)
-	}
+	tq.sloSynth.RegisterLabeled(obsv.Default, "janus_service_tenant_slo_synthesize", "tenant", name)
+	tq.sloFirstMap.RegisterLabeled(obsv.Default, "janus_service_tenant_slo_first_mapping", "tenant", name)
 	sc.tenants[name] = tq
 	sc.order = append(sc.order, tq)
 	return tq
@@ -301,8 +286,8 @@ type TenantStats struct {
 	Dispatched  int64  `json:"dispatched"`
 	Completed   int64  `json:"completed"`
 	Shed        int64  `json:"shed"`
-	// SLOs carries this tenant's burn-rate snapshots (absent when the
-	// per-tenant objectives are disabled).
+	// SLOs carries this tenant's burn-rate snapshots: synthesize, then
+	// first_mapping.
 	SLOs []obsv.SLOSnapshot `json:"slos,omitempty"`
 }
 
@@ -323,20 +308,14 @@ func (sc *scheduler) stats() SchedulerStats {
 		if maxIF >= 1<<30 {
 			maxIF = 0 // unlimited reads cleaner as absent
 		}
-		ts := TenantStats{
+		st.Tenants = append(st.Tenants, TenantStats{
 			Name: tq.name, Weight: tq.cfg.Weight,
 			QueueDepth: len(tq.jobs), QueueShare: tq.cfg.QueueShare,
 			InFlight: tq.inFlight, MaxInFlight: maxIF,
 			Admitted: tq.admitted, Dispatched: tq.dispatched,
 			Completed: tq.completed, Shed: tq.shed,
-		}
-		if tq.sloSynth != nil {
-			ts.SLOs = append(ts.SLOs, tq.sloSynth.Snapshot())
-		}
-		if tq.sloFirstMap != nil {
-			ts.SLOs = append(ts.SLOs, tq.sloFirstMap.Snapshot())
-		}
-		st.Tenants = append(st.Tenants, ts)
+			SLOs: []obsv.SLOSnapshot{tq.sloSynth.Snapshot(), tq.sloFirstMap.Snapshot()},
+		})
 	}
 	return st
 }

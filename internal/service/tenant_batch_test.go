@@ -36,7 +36,7 @@ func fakeMultiResult(n int) *core.MultiResult {
 func TestSchedulerDRRWeights(t *testing.T) {
 	sc := newScheduler(100, TenantConfig{}, map[string]TenantConfig{
 		"heavy": {Weight: 2}, "light": {Weight: 1},
-	}, tenantSLOCfg{})
+	})
 	for i := 0; i < 20; i++ {
 		if err := sc.enqueue(&job{tenant: "heavy"}); err != nil {
 			t.Fatal(err)
@@ -66,7 +66,7 @@ func TestSchedulerDRRWeights(t *testing.T) {
 func TestSchedulerInFlightCap(t *testing.T) {
 	sc := newScheduler(100, TenantConfig{}, map[string]TenantConfig{
 		"capped": {MaxInFlight: 1},
-	}, tenantSLOCfg{})
+	})
 	for i := 0; i < 3; i++ {
 		if err := sc.enqueue(&job{tenant: "capped"}); err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSchedulerInFlightCap(t *testing.T) {
 func TestSchedulerQueueShare(t *testing.T) {
 	sc := newScheduler(4, TenantConfig{}, map[string]TenantConfig{
 		"bulk": {QueueShare: 2},
-	}, tenantSLOCfg{})
+	})
 	for i := 0; i < 2; i++ {
 		if err := sc.enqueue(&job{tenant: "bulk"}); err != nil {
 			t.Fatal(err)
@@ -129,7 +129,7 @@ func TestSchedulerQueueShare(t *testing.T) {
 // fold into the default tenant instead of minting unbounded queues and
 // metrics — the X-Janus-Tenant header is client-controlled input.
 func TestSchedulerTenantFolding(t *testing.T) {
-	sc := newScheduler(1<<20, TenantConfig{}, nil, tenantSLOCfg{})
+	sc := newScheduler(1<<20, TenantConfig{}, nil)
 	for i := 0; i < maxTrackedTenants+16; i++ {
 		j := &job{tenant: fmt.Sprintf("t%d", i)}
 		if err := sc.enqueue(j); err != nil {

@@ -88,17 +88,22 @@ func TestJobTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceRetention: only the TraceJobs most recent finished jobs keep
-// their buffers; older ones answer ErrNoTrace (the job itself stays
-// pollable far longer).
+// TestTraceRetention: only the traceJobs most recent finished jobs keep
+// their traces in the window; an older job answers ErrNoTrace (the job
+// itself stays pollable far longer) unless its trace is pinned, and a
+// pinned trace outlives both the window and the job retention.
 func TestTraceRetention(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, TraceJobs: 2, SlowTrace: -1})
+	s := newTestServer(t, Config{Workers: 1})
+	partial := true // the first job's answer is partial, which pins its trace
 	s.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
+		if partial {
+			return fakePartial(), nil
+		}
 		return fakeResult(), nil
 	}
 	var ids []string
-	for i := 0; i < 4; i++ {
-		pla := fmt.Sprintf(".i 4\n.o 1\n%04b 1\n.e\n", i+1)
+	for i := 0; i < retainJobs+2; i++ {
+		pla := fmt.Sprintf(".i 11\n.o 1\n%011b 1\n.e\n", i+1)
 		resp, err := s.Synthesize(context.Background(), Request{PLA: pla})
 		if err != nil {
 			t.Fatal(err)
@@ -106,14 +111,27 @@ func TestTraceRetention(t *testing.T) {
 		if resp.JobID == "" || resp.Status != StatusDone {
 			t.Fatalf("job %d: %+v", i, resp)
 		}
+		partial = false
 		ids = append(ids, resp.JobID)
 	}
-	for _, id := range ids[:2] {
-		if _, err := s.JobTrace(id); !errors.Is(err, ErrNoTrace) {
-			t.Fatalf("evicted job %s trace err = %v, want ErrNoTrace", id, err)
-		}
+	if _, ok := s.Job(ids[0]); ok {
+		t.Fatal("the first job is still pollable past the job retention")
 	}
-	for _, id := range ids[2:] {
+	raw, err := s.JobTrace(ids[0])
+	if err != nil {
+		t.Fatalf("pinned job %s: %v", ids[0], err)
+	}
+	if _, err := obsv.ValidateTrace(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("pinned trace invalid: %v", err)
+	}
+	window := len(ids) - traceJobs
+	if _, ok := s.Job(ids[window-1]); !ok {
+		t.Fatal("the job just before the window is not pollable")
+	}
+	if _, err := s.JobTrace(ids[window-1]); !errors.Is(err, ErrNoTrace) {
+		t.Fatalf("evicted job %s trace err = %v, want ErrNoTrace", ids[window-1], err)
+	}
+	for _, id := range ids[window:] {
 		raw, err := s.JobTrace(id)
 		if err != nil {
 			t.Fatalf("retained job %s: %v", id, err)
@@ -122,21 +140,44 @@ func TestTraceRetention(t *testing.T) {
 			t.Fatalf("retained trace invalid: %v", err)
 		}
 	}
-	if st := s.Stats(); st.TracedJobs != 2 {
-		t.Fatalf("Stats.TracedJobs = %d, want 2", st.TracedJobs)
+	if st := s.Stats(); st.TracedJobs != traceJobs {
+		t.Fatalf("Stats.TracedJobs = %d, want %d", st.TracedJobs, traceJobs)
 	}
 }
 
-// TestFlightRecorder: the ring must contain the slow job (with its trace
-// pinned), the shed 429, and the coalesced follower pointing at its
+// TestShouldPin: every arm of the pin rule. An error, a cancel, a
+// partial answer and a done job of exactly 2s pin; a done job just under
+// 2s does not.
+func TestShouldPin(t *testing.T) {
+	for _, c := range []struct {
+		outcome string
+		partial bool
+		total   time.Duration
+		want    bool
+	}{
+		{StatusError, false, 0, true},
+		{StatusCanceled, false, 0, true},
+		{StatusDone, true, 0, true},
+		{StatusDone, false, 2 * time.Second, true},
+		{StatusDone, false, 2*time.Second - time.Nanosecond, false},
+		{StatusDone, false, 0, false},
+	} {
+		if got := shouldPin(c.outcome, c.partial, c.total); got != c.want {
+			t.Errorf("shouldPin(%s, partial %v, %v) = %v, want %v",
+				c.outcome, c.partial, c.total, got, c.want)
+		}
+	}
+}
+
+// TestFlightRecorder: the ring must contain the partial job (with its
+// trace pinned), the shed 429, and the coalesced follower pointing at its
 // leader — the incident-replay triple the recorder exists for.
 func TestFlightRecorder(t *testing.T) {
-	// SlowTrace 1ns: every finished job counts as slow and pins its trace.
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, SlowTrace: time.Nanosecond})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	gate := make(chan struct{})
 	s.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
 		<-gate
-		return fakeResult(), nil
+		return fakePartial(), nil // a partial answer pins its trace
 	}
 
 	// Leader plus one coalesced follower on the same function.
@@ -178,7 +219,7 @@ func TestFlightRecorder(t *testing.T) {
 	wg.Wait()
 
 	dump := s.Flight()
-	var slow, shed, coalesced *FlightEntry
+	var leader, shed, coalesced *FlightEntry
 	for i := range dump.Entries {
 		e := &dump.Entries[i]
 		switch {
@@ -197,27 +238,27 @@ func TestFlightRecorder(t *testing.T) {
 	if coalesced == nil {
 		t.Fatal("no coalesced follower entry")
 	}
-	// The leader's own entry: done, trace pinned by the 1ns slow rule.
+	// The leader's own entry: done, trace pinned by the partial rule.
 	for i := range dump.Entries {
 		e := &dump.Entries[i]
 		if e.JobID == coalesced.CoalescedInto && e.CoalescedInto == "" {
-			slow = e
+			leader = e
 		}
 	}
-	if slow == nil {
+	if leader == nil {
 		t.Fatalf("no leader entry for job %q", coalesced.CoalescedInto)
 	}
-	if slow.Outcome != StatusDone || !slow.TracePinned {
-		t.Fatalf("leader entry not a pinned done job: %+v", slow)
+	if leader.Outcome != StatusDone || !leader.Partial || !leader.TracePinned {
+		t.Fatalf("leader entry not a pinned partial job: %+v", leader)
 	}
 
-	// The pinned trace outlives the retention window: zero TraceJobs-style
-	// eviction is simulated by asking through the pin fallback directly.
-	raw, ok := s.flight.pinnedTrace(slow.JobID)
-	if !ok {
-		t.Fatal("slow job trace not pinned")
+	// The pin holds the job's own trace buffer, the one in the window,
+	// not a copy; TestTraceRetention shows it outliving the window.
+	b, ok := s.flight.pins.Get(leader.JobID)
+	if w, _ := s.traces.Get(leader.JobID); !ok || b != w {
+		t.Fatal("partial job trace not pinned, or pinned as a copy")
 	}
-	if _, err := obsv.ValidateTrace(bytes.NewReader(raw)); err != nil {
+	if _, err := obsv.ValidateTrace(bytes.NewReader(b.Bytes())); err != nil {
 		t.Fatalf("pinned trace invalid: %v", err)
 	}
 }
@@ -268,11 +309,9 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 	// The id reached the job trace through the context.
 	var jobID string
-	s.mu.Lock()
-	for _, id := range s.traceOrder {
+	for _, id := range s.traces.IDs() {
 		jobID = id
 	}
-	s.mu.Unlock()
 	raw, err := s.JobTrace(jobID)
 	if err != nil {
 		t.Fatal(err)

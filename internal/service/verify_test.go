@@ -92,3 +92,48 @@ func TestLyingPeerNotAdopted(t *testing.T) {
 		t.Fatal("the lying peer's entry was adopted")
 	}
 }
+
+// TestBatchDiskEntryVerified: a done batch entry on disk whose first part
+// does not realize the first function is dropped and counted, and the
+// batch is solved afresh, not answered from disk. The fresh answer
+// replaces the entry, and a restarted daemon serves it from disk.
+func TestBatchDiskEntryVerified(t *testing.T) {
+	dir := t.TempDir()
+	var solves atomic.Int32
+	fake := func(fns []cube.Cover, opt core.Options, reduce bool) (*core.MultiResult, error) {
+		solves.Add(1)
+		return fakeMultiResult(len(fns)), nil
+	}
+	s := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s.synthMulti = fake
+	req := BatchRequest{Functions: []BatchFunction{{PLA: fig1PLA}, {PLA: fig1PLA}}}
+	pb, err := parseBatch(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := fakeMultiResult(2)
+	bad.Parts[0].Assignment.Entries[0].Kind = 0 // cuts the abcd column
+	s.disk.put(pb.key, &outcome{Status: StatusDone, Batch: renderBatch(bad, pb)})
+
+	before := mVerifyFailures.Value()
+	resp, err := s.SynthesizeBatch(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != StatusDone || resp.Cached != "" || solves.Load() != 1 {
+		t.Fatalf("status %s cached %q after %d solves; want a fresh answer", resp.Status, resp.Cached, solves.Load())
+	}
+	if got := mVerifyFailures.Value() - before; got != 1 {
+		t.Fatalf("verify failures counted %d, want 1", got)
+	}
+
+	warm := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	warm.synthMulti = fake
+	resp, err = warm.SynthesizeBatch(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Cached != "disk" || solves.Load() != 1 {
+		t.Fatalf("the re-solved entry: cached %q after %d solves, want a disk hit", resp.Cached, solves.Load())
+	}
+}
