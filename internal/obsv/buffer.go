@@ -107,20 +107,20 @@ func (b *TraceBuffer) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// TraceStore keeps finished traces by id: the newest max of them, the
+// TraceStore keeps finished traces by id: the newest limit of them, the
 // oldest evicted first. It holds the buffers themselves, not copies. A
 // buffer is final once its root span (janusd's Job, janusfront's Route)
 // has ended, so callers put it only then.
 type TraceStore struct {
 	mu    sync.Mutex
-	max   int
+	limit int
 	m     map[string]*TraceBuffer
 	order []string // ids in first-put order, oldest first
 }
 
-// NewTraceStore returns a store that keeps up to max traces.
-func NewTraceStore(max int) *TraceStore {
-	return &TraceStore{max: max, m: make(map[string]*TraceBuffer, max)}
+// NewTraceStore returns a store that keeps up to limit traces.
+func NewTraceStore(limit int) *TraceStore {
+	return &TraceStore{limit: limit, m: make(map[string]*TraceBuffer, limit)}
 }
 
 // Put stores a finished trace under id, evicting the oldest beyond the
@@ -130,7 +130,7 @@ func (s *TraceStore) Put(id string, b *TraceBuffer) {
 	defer s.mu.Unlock()
 	if _, ok := s.m[id]; !ok {
 		s.order = append(s.order, id)
-		if len(s.order) > s.max {
+		if len(s.order) > s.limit {
 			delete(s.m, s.order[0])
 			s.order = s.order[1:]
 		}

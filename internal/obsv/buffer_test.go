@@ -123,7 +123,7 @@ func TestTraceBufferNil(t *testing.T) {
 	}
 }
 
-// TestTraceStoreEviction: the store keeps the newest max traces, lists
+// TestTraceStoreEviction: the store keeps the newest limit traces, lists
 // them oldest first, and replaces a trace in place without taking a
 // slot.
 func TestTraceStoreEviction(t *testing.T) {
@@ -141,7 +141,7 @@ func TestTraceStoreEviction(t *testing.T) {
 	}
 	ts.Put("c", trace("3")) // evicts a, the oldest
 	if _, ok := ts.Get("a"); ok {
-		t.Fatal("oldest entry survived past max")
+		t.Fatal("oldest entry survived past the limit")
 	}
 	if b, ok := ts.Get("b"); !ok || string(b.Bytes()) != "2b" {
 		t.Fatalf("entry b = %v, want the replacing trace", ok)
