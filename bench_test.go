@@ -342,7 +342,7 @@ func BenchmarkCegarEngine(b *testing.B) {
 			b.ReportMetric(float64(r.AddedClauses), "clauses-added")
 			b.ReportMetric(float64(r.RebuiltClauses), "clauses-rebuilt")
 			// Solver effort of the last solve (lifetime of its persistent
-			// solver), so BENCH_janus.json tracks search-pressure drift.
+			// solver), so a run shows search-pressure drift.
 			b.ReportMetric(float64(r.SolverStat.Conflicts), "conflicts")
 			b.ReportMetric(float64(r.SolverStat.Propagations), "propagations")
 		})
@@ -353,8 +353,8 @@ func BenchmarkCegarEngine(b *testing.B) {
 // every LM solve on one shared assumption pool per synthesis, and reports
 // the pool's counters: clauses added, skeleton reuses, counterexample
 // clauses transferred between candidates, and the clause-quality
-// filter's work. These rows feed the search block of BENCH_janus.json
-// and its perfgate rule.
+// filter's work. scripts/perfgate.py gates these rows and the
+// BenchmarkCegarEngine rows against the parent commit.
 //
 // Every iteration starts from cleared memo caches: the process-wide
 // path/table/cover caches would otherwise let iteration order decide

@@ -36,8 +36,6 @@ type Options struct {
 	DisableImprovedBounds bool
 	// DisableDS turns the divide-and-synthesize upper bound off.
 	DisableDS bool
-	// SkipMinimize treats the input cover as already being in ISOP form.
-	SkipMinimize bool
 	// MFReduceBudget caps the LM solves SynthesizeMulti's shared
 	// row-reduction phase may spend (0 = unlimited). The reduction is
 	// opportunistic: when the budget runs out the best packing found so
@@ -64,29 +62,27 @@ type Options struct {
 	Deadline time.Time
 	// Tracer, when non-nil, receives the synthesis' hierarchical span
 	// trace (Synthesize → DichotomicStep → Candidate → CegarIter →
-	// SatSolve) as JSONL; nil disables tracing at zero cost. When nil,
-	// the tracer (and parent span) attached to Ctx via
-	// obsv.ContextWithTracer/ContextWithSpan is used instead — the
-	// carrier the service layer uses so per-job tracing crosses the
-	// queue without widening this struct at every hop; a request id on
-	// Ctx is stamped onto the root span as the request_id attribute.
+	// SatSolve) as JSONL; nil disables tracing at zero cost, unless
+	// TraceParent is set. A request id on Ctx
+	// (obsv.ContextWithRequestID) is stamped onto the root span as the
+	// request_id attribute.
 	Tracer *obsv.Tracer
 	// TraceParent nests this synthesis' root span under an existing
-	// span. Set automatically for DS and MF sub-syntheses; leave nil for
-	// top-level runs.
+	// span; with Tracer nil the parent's tracer is used. janusd sets it
+	// to each job's Job span, and DS and MF sub-syntheses get it set
+	// automatically.
 	TraceParent *obsv.Span
 	// Progress, when non-nil, receives the synthesis' anytime progress
 	// events (phase brackets, verified bound moves, incumbent
 	// improvements, dichotomic steps — see obsv.ProgressEvent); nil keeps
-	// progress free. When nil, the sink attached to Ctx via
-	// obsv.ContextWithProgress is used instead — the carrier the service
-	// layer uses so per-job progress crosses the queue like the tracer
-	// does. DS and MF sub-syntheses inherit the sink and mark their
-	// events Sub, since their bounds describe part covers.
+	// progress free. janusd sets it to each single job's progress state.
+	// DS and MF sub-syntheses inherit the sink and mark their events
+	// Sub, since their bounds describe part covers.
 	Progress obsv.ProgressSink
-	// sub marks DS/MF sub-syntheses (set by subOptions): their progress
-	// events carry the Sub flag and they do not feed the top-level
-	// first-mapping histogram.
+	// sub marks DS/MF sub-syntheses (set by subOptions): their input
+	// cover is already in ISOP form, so they skip minimization, their
+	// progress events carry the Sub flag, and they do not feed the
+	// top-level first-mapping histogram.
 	sub bool
 }
 
@@ -205,18 +201,6 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 		opt.Encode.Shared = encode.NewSharedPool()
 		defer opt.Encode.Shared.Release()
 	}
-	if opt.Tracer == nil {
-		// Ctx-carried tracing: the service attaches a per-job tracer and
-		// its Job root span to the context it hands us.
-		opt.Tracer = obsv.TracerFromContext(opt.Ctx)
-		if opt.TraceParent == nil {
-			opt.TraceParent = obsv.SpanFromContext(opt.Ctx)
-		}
-	}
-	if opt.Progress == nil {
-		// Ctx-carried progress, same carrier discipline as the tracer.
-		opt.Progress = obsv.ProgressFromContext(opt.Ctx)
-	}
 	prog := &progTrail{sink: opt.Progress, sub: opt.sub, start: start}
 	root := obsv.Start(opt.Tracer, opt.TraceParent, "Synthesize")
 	defer root.End()
@@ -229,7 +213,7 @@ func Synthesize(f cube.Cover, opt Options) (Result, error) {
 	var isop, dual cube.Cover
 	{
 		minSpan, done := phase(prog, root, "Minimize", "minimize", mPhaseMinimNS)
-		if opt.SkipMinimize {
+		if opt.sub {
 			isop = f
 			dual = minimize.Auto(f.Dual())
 		} else {
@@ -540,7 +524,6 @@ func candidates(size, lb, limit int) []lattice.Grid {
 func subOptions(opt Options) Options {
 	sub := opt
 	sub.DisableDS = true
-	sub.SkipMinimize = true
 	sub.sub = true
 	return sub
 }

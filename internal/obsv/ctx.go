@@ -2,55 +2,17 @@ package obsv
 
 import "context"
 
-// Context carriage for request-scoped observability. The service layer
-// attaches a per-job tracer, the job's root span, and the request id to
-// the context it hands core.Synthesize; the synthesis layers read them
-// back here instead of growing option structs at every level. All
-// accessors tolerate a nil context (core.Options.Ctx may be nil) and
-// return the zero value when nothing was attached, so call sites need no
-// enablement checks — exactly like the nil-safe Span methods.
+// The request id rides the context: the HTTP layers of janusd and
+// janusfront read it for their logs and error bodies, and a synthesis
+// stamps it on its root span. The tracer, the parent span and the
+// progress sink travel in core.Options instead. The accessor tolerates a
+// nil context (core.Options.Ctx may be nil).
 
-type ctxKey int
-
-const (
-	ctxTracerKey ctxKey = iota
-	ctxSpanKey
-	ctxRequestIDKey
-)
-
-// ContextWithTracer returns a context carrying t. A nil t is allowed and
-// simply means "tracing off" downstream.
-func ContextWithTracer(ctx context.Context, t *Tracer) context.Context {
-	return context.WithValue(ctx, ctxTracerKey, t)
-}
-
-// TracerFromContext returns the tracer attached to ctx, or nil.
-func TracerFromContext(ctx context.Context) *Tracer {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(ctxTracerKey).(*Tracer)
-	return t
-}
-
-// ContextWithSpan returns a context carrying sp as the current span, the
-// parent under which a downstream synthesis roots its trace.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	return context.WithValue(ctx, ctxSpanKey, sp)
-}
-
-// SpanFromContext returns the current span attached to ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	sp, _ := ctx.Value(ctxSpanKey).(*Span)
-	return sp
-}
+type ctxRequestIDKey struct{}
 
 // ContextWithRequestID returns a context carrying the request id.
 func ContextWithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxRequestIDKey, id)
+	return context.WithValue(ctx, ctxRequestIDKey{}, id)
 }
 
 // RequestIDFromContext returns the request id attached to ctx, or "".
@@ -58,6 +20,6 @@ func RequestIDFromContext(ctx context.Context) string {
 	if ctx == nil {
 		return ""
 	}
-	id, _ := ctx.Value(ctxRequestIDKey).(string)
+	id, _ := ctx.Value(ctxRequestIDKey{}).(string)
 	return id
 }

@@ -12,7 +12,7 @@ import (
 //
 //	/metrics       JSON snapshot of the registry
 //	/metrics/prom  the same registry in Prometheus text format
-//	/debug/vars    expvar (includes the Default registry as janus_metrics)
+//	/debug/vars    expvar (the runtime's memstats and cmdline)
 //	/debug/pprof/  the standard pprof profiles
 //
 // It returns the bound listener (addr may be ":0") so callers can report

@@ -1,8 +1,6 @@
 package obsv
 
 import (
-	"expvar"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,7 +260,7 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, JSON-ready
-// (this is what /metrics and expvar serve). Function-backed gauges land
+// (this is what /metrics serves). Function-backed gauges land
 // in Gauges next to the explicit ones.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
@@ -276,22 +274,6 @@ func (s Snapshot) Get(name string) int64 {
 		return v
 	}
 	return s.Gauges[name]
-}
-
-// Names returns every metric name in the snapshot, sorted.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot captures the current value of every registered metric.
@@ -325,12 +307,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[n] = hs
 	}
 	return s
-}
-
-// The Default registry is published to expvar under "janus_metrics", so
-// any /debug/vars endpoint (ours or the application's own) includes it.
-func init() {
-	expvar.Publish("janus_metrics", expvar.Func(func() any {
-		return Default.Snapshot()
-	}))
 }

@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -17,10 +16,9 @@ import (
 // always knows the best answer it would get if it stopped waiting now.
 //
 // Like the tracer, the sink is nil-safe and allocation-free when off:
-// ProgressEvent is a plain value struct, emission sites check the sink
-// for nil before building one, and the context carriage below mirrors
-// ContextWithTracer so the service layer can thread a sink through the
-// job queue without widening option structs at every hop.
+// ProgressEvent is a plain value struct, and emission sites check the
+// sink for nil before building one. A synthesis takes its sink from
+// core.Options.Progress, where janusd puts each job's progress state.
 
 // ProgressKind enumerates the progress event types.
 type ProgressKind uint8
@@ -96,26 +94,6 @@ type ProgressEvent struct {
 // or buffer instead of doing I/O when latency matters.
 type ProgressSink interface {
 	Progress(ProgressEvent)
-}
-
-// Context carriage, mirroring ContextWithTracer: the service layer
-// attaches the per-job sink to the context it hands core.Synthesize.
-
-type ctxProgressKey struct{}
-
-// ContextWithProgress returns a context carrying the sink. A nil sink is
-// allowed and means "progress off" downstream.
-func ContextWithProgress(ctx context.Context, s ProgressSink) context.Context {
-	return context.WithValue(ctx, ctxProgressKey{}, s)
-}
-
-// ProgressFromContext returns the sink attached to ctx, or nil.
-func ProgressFromContext(ctx context.Context) ProgressSink {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(ctxProgressKey{}).(ProgressSink)
-	return s
 }
 
 // ProgressWriter is a ProgressSink printing one line per event — the

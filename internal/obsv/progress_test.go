@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -23,22 +22,6 @@ func TestProgressKindStrings(t *testing.T) {
 		if k.String() != s {
 			t.Fatalf("kind %d = %q, want %q", k, k.String(), s)
 		}
-	}
-}
-
-// TestProgressContext: the sink rides the context like the tracer does,
-// and both a nil context and a sink-free context read back nil.
-func TestProgressContext(t *testing.T) {
-	if ProgressFromContext(nil) != nil { //nolint:staticcheck // nil ctx is the point
-		t.Fatal("nil context must carry no sink")
-	}
-	if ProgressFromContext(context.Background()) != nil {
-		t.Fatal("fresh context must carry no sink")
-	}
-	pw := NewProgressWriter(&strings.Builder{})
-	ctx := ContextWithProgress(context.Background(), pw)
-	if got := ProgressFromContext(ctx); got != ProgressSink(pw) {
-		t.Fatalf("round-trip lost the sink: %v", got)
 	}
 }
 

@@ -145,15 +145,6 @@ func (sp *Span) ID() uint64 {
 	return sp.id
 }
 
-// Tracer returns the span's tracer (nil on a nil span), for callers that
-// hold a span and need the tracer itself, e.g. to carry in a context.
-func (sp *Span) Tracer() *Tracer {
-	if sp == nil {
-		return nil
-	}
-	return sp.t
-}
-
 // Child opens a sub-span; on a nil receiver it returns nil.
 func (sp *Span) Child(name string) *Span {
 	if sp == nil {
@@ -168,22 +159,6 @@ func (sp *Span) SetInt(key string, v int64) {
 		return
 	}
 	sp.set(key, v)
-}
-
-// AddInt accumulates into an integer attribute (missing counts as 0).
-func (sp *Span) AddInt(key string, v int64) {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.attrs == nil {
-		sp.attrs = make(map[string]any)
-	}
-	if old, ok := sp.attrs[key].(int64); ok {
-		v += old
-	}
-	sp.attrs[key] = v
 }
 
 // SetStr records a string attribute.

@@ -8,7 +8,6 @@ import (
 
 	"github.com/lattice-tools/janus/internal/core"
 	"github.com/lattice-tools/janus/internal/cube"
-	"github.com/lattice-tools/janus/internal/obsv"
 	"github.com/lattice-tools/janus/internal/pla"
 )
 
@@ -217,10 +216,10 @@ func (pb *parsedBatch) realizes(out *outcome) bool {
 // re-solving — unless the job was cancelled: as for a single job, an
 // answer produced under less than its nominal budget must not enter the
 // caches, while a deadline-bounded answer is the agreed product of this
-// budget.
+// budget. The synthesis is traced under the job's span; it has no
+// progress sink, since a batch job has no event stream.
 func (pb *parsedBatch) solve(ctx context.Context, s *Server, j *job) (*outcome, []string) {
-	span := obsv.SpanFromContext(ctx)
-	span.SetInt("outputs", int64(len(pb.fns)))
+	j.span.SetInt("outputs", int64(len(pb.fns)))
 	covers := make([]cube.Cover, len(pb.fns))
 	for i, p := range pb.fns {
 		covers[i] = p.cover
@@ -228,6 +227,7 @@ func (pb *parsedBatch) solve(ctx context.Context, s *Server, j *job) (*outcome, 
 	opt := pb.coreOptions()
 	opt.Ctx = ctx
 	opt.Deadline = j.deadline
+	opt.TraceParent = j.span
 	var mr *core.MultiResult
 	var err error
 	canceled := s.call(j, func() { mr, err = s.synthMulti(covers, opt, pb.reduce) })
@@ -240,7 +240,7 @@ func (pb *parsedBatch) solve(ctx context.Context, s *Server, j *job) (*outcome, 
 		return &outcome{Status: StatusError, Error: err.Error()}, nil
 	}
 	mJobsDone.Inc()
-	span.SetInt("lm_solved", int64(mr.LMSolved))
+	j.span.SetInt("lm_solved", int64(mr.LMSolved))
 	out := &outcome{Status: StatusDone, Batch: renderBatch(mr, pb)}
 	if !canceled {
 		s.mem.put(pb.key, out)

@@ -261,8 +261,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if p == nil {
-		// A batch job carries no progress stream.
-		writeError(w, http.StatusNotFound, "progress disabled", reqID)
+		writeError(w, http.StatusNotFound, "batch jobs have no progress stream", reqID)
 		return
 	}
 	if r.URL.Query().Has("wait") {

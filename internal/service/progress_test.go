@@ -211,9 +211,9 @@ func TestJobProgressSnapshot(t *testing.T) {
 		}
 	}()
 	s.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
-		sink := obsv.ProgressFromContext(opt.Ctx)
+		sink := opt.Progress
 		if sink == nil {
-			t.Error("job context carries no progress sink")
+			t.Error("job options carry no progress sink")
 			return fakeResult(), nil
 		}
 		sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressPhaseStart, Phase: "bounds"})
@@ -325,8 +325,8 @@ func TestProgressRingEviction(t *testing.T) {
 	}
 }
 
-// TestProgressNilSafety: a nil state (progress disabled) no-ops on every
-// method, so the service never branches on the config.
+// TestProgressNilSafety: a nil state (a batch job's) no-ops on every
+// method, so the service never branches on the job's kind.
 func TestProgressNilSafety(t *testing.T) {
 	var p *progressState
 	p.Progress(obsv.ProgressEvent{Kind: obsv.ProgressBound, LB: 1})
@@ -356,7 +356,7 @@ func TestEventsEndpoint(t *testing.T) {
 		}
 	}()
 	s.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
-		sink := obsv.ProgressFromContext(opt.Ctx)
+		sink := opt.Progress
 		sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressIncumbent, Size: 8, Grid: "4x2", Verified: true})
 		sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressBound, LB: 4, UB: 8, Method: "DPS"})
 		<-release
@@ -469,7 +469,8 @@ func TestEventsEndpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.JobEvents(ctx, resp.JobID, 0, 0); !errors.As(err, &ae) || ae.Code != 404 {
+	if _, err := client.JobEvents(ctx, resp.JobID, 0, 0); !errors.As(err, &ae) || ae.Code != 404 ||
+		ae.Message != "batch jobs have no progress stream" {
 		t.Fatalf("batch job events: %v", err)
 	}
 	// A batch job's polls simply omit the snapshot.
@@ -513,7 +514,7 @@ func TestProgressRingSizedByEvents(t *testing.T) {
 	const size, emitted = progressEvents, progressEvents + 36
 	long := newTestServer(t, Config{Workers: 1})
 	long.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
-		sink := obsv.ProgressFromContext(opt.Ctx)
+		sink := opt.Progress
 		for i := 1; i < emitted; i++ {
 			sink.Progress(obsv.ProgressEvent{Kind: obsv.ProgressBound, LB: 1, UB: emitted - i})
 		}

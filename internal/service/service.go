@@ -250,6 +250,7 @@ type job struct {
 	queueWait time.Duration
 	solveTime time.Duration  // the core call alone; set by Server.call
 	progress  *progressState // nil for batch jobs
+	span      *obsv.Span     // the job's root span (Job) while it runs
 	out       *outcome
 	done      chan struct{}
 }
@@ -630,9 +631,9 @@ func (s *Server) worker() {
 }
 
 // run executes one job: skip it when already cancelled in the queue,
-// otherwise solve it under the job context — with the job's tracer,
-// span, progress sink and request id carried in it — and publish the
-// outcome, one flight entry per job.
+// otherwise open its Job span and solve it under the job context, which
+// carries the request id, and publish the outcome, one flight entry per
+// job.
 func (s *Server) run(j *job) {
 	fnKey := fnPrefix(j.work.id().fnKey)
 	s.mu.Lock()
@@ -670,13 +671,9 @@ func (s *Server) run(j *job) {
 	jobSpan.SetStr("request_id", j.requestID)
 	jobSpan.SetStr("fn_key", fnKey)
 	jobSpan.SetInt("queue_wait_ns", int64(j.queueWait))
-	ctx := obsv.ContextWithRequestID(j.ctx, j.requestID)
-	ctx = obsv.ContextWithSpan(obsv.ContextWithTracer(ctx, tracer), jobSpan)
-	if j.progress != nil {
-		ctx = obsv.ContextWithProgress(ctx, j.progress)
-	}
+	j.span = jobSpan
 
-	out, probed := j.work.solve(ctx, s, j)
+	out, probed := j.work.solve(obsv.ContextWithRequestID(j.ctx, j.requestID), s, j)
 	total := j.queueWait + j.solveTime
 	entry := FlightEntry{
 		Time: j.enqueued, RequestID: j.requestID, JobID: j.id,
@@ -713,6 +710,9 @@ func (s *Server) run(j *job) {
 		jobSpan.SetInt("size", int64(entry.FinalUB))
 	}
 	jobSpan.End() // last span to end: survives any buffer eviction
+	// A finished job stays retained; its span would keep the whole trace
+	// buffer alive through the tracer. The trace stores hold the kept ones.
+	j.span = nil
 	// The trace is final now, and stored before the job reads as finished.
 	s.traces.Put(j.id, trace)
 
@@ -770,11 +770,14 @@ func (p *parsedRequest) lookup(ctx context.Context, s *Server) (*outcome, string
 	return nil, "", false
 }
 
-// solve runs JANUS on the function.
+// solve runs JANUS on the function, traced under the job's span and
+// reporting to its progress state.
 func (p *parsedRequest) solve(ctx context.Context, s *Server, j *job) (*outcome, []string) {
 	opt := p.coreOptions()
 	opt.Ctx = ctx
 	opt.Deadline = j.deadline
+	opt.TraceParent = j.span
+	opt.Progress = j.progress
 	var res core.Result
 	var err error
 	canceled := s.call(j, func() { res, err = s.synth(p.cover, opt) })

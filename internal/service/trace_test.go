@@ -145,6 +145,34 @@ func TestTraceRetention(t *testing.T) {
 	}
 }
 
+// TestFinishedJobKeepsNoTrace: a job's synthesis is traced under its Job
+// span, passed in the core options, and a finished job, which stays
+// retained for polls, no longer holds that span: through its tracer the
+// span would keep the job's whole trace buffer alive past the trace
+// window. The trace is still served from the window.
+func TestFinishedJobKeepsNoTrace(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	s.synth = func(f cube.Cover, opt core.Options) (core.Result, error) {
+		if opt.TraceParent == nil || opt.Tracer != nil {
+			t.Error("job options do not trace under the Job span alone")
+		}
+		return fakeResult(), nil
+	}
+	resp, err := s.Synthesize(context.Background(), fig1Request())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	span := s.jobs[resp.JobID].span
+	s.mu.Unlock()
+	if span != nil {
+		t.Fatal("a finished job still holds its Job span")
+	}
+	if _, err := s.JobTrace(resp.JobID); err != nil {
+		t.Fatalf("trace of the finished job: %v", err)
+	}
+}
+
 // TestShouldPin: every arm of the pin rule. An error, a cancel, a
 // partial answer and a done job of exactly 2s pin; a done job just under
 // 2s does not.

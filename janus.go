@@ -203,7 +203,7 @@ func NewTracer(w io.Writer) *Tracer { return obsv.NewTracer(w) }
 
 // Metrics snapshots the process-wide registry. All synthesis layers
 // publish here (janus_core_*, janus_encode_*, janus_sat_*, janus_memo_*);
-// the same data is exported through expvar as "janus_metrics".
+// ServeDebug serves the same snapshot at /metrics.
 func Metrics() MetricsSnapshot { return obsv.Default.Snapshot() }
 
 // MetricsPromContentType is the Content-Type of the Prometheus text
